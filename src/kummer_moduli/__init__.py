@@ -5,30 +5,16 @@ invariants (d, t): non-emptiness and component counts of the moduli
 space, explicit split witness classes in the reference lattice, and
 certified verdicts on generic base-point-freeness, cross-checked by a
 brute-force lattice oracle.
+
+The names below are the documented API; the building blocks (the
+arithmetic, the lattice, the oracle and the grid walker) stay in their
+modules: ``arith``, ``lattice``, ``moduli``, ``witness``, ``bpf``,
+``oracle`` and ``census``.
 """
 
-from .arith import (
-    WSplit,
-    distinct_prime_count,
-    euler_phi,
-    is_quadratic_residue,
-    mod_inverse,
-    split_w,
-)
-from .bpf import (
-    Certificate,
-    Piece,
-    Verdict,
-    certificate_is_valid,
-    certify_decomposition,
-    certify_direct,
-    decide,
-    exceptional_set,
-    very_ample_bound,
-)
+from .bpf import Certificate, Verdict, certificate_is_valid, decide
 from .census import (
     CensusRow,
-    build_row,
     census_rows,
     rows_to_csv,
     rows_to_json,
@@ -38,40 +24,8 @@ from .census import (
     suite_nonemptiness,
     suite_witnesses,
 )
-from .lattice import (
-    KummerLattice,
-    SplitClass,
-    bb_square,
-    divisibility_split,
-    divisibility_vector,
-    embed,
-    gram_matrix,
-    is_primitive,
-    pairing,
-    square_split,
-)
-from .moduli import (
-    CountResult,
-    ModuliInvariants,
-    component_count,
-    connectedness_report,
-    invariants,
-    is_nonempty,
-)
-from .oracle import (
-    SearchBounds,
-    default_bounds,
-    divisibility_crosscheck,
-    enumerate_primitive_classes,
-    nonemptiness_crosscheck,
-)
-from .witness import (
-    Witness,
-    WitnessShape,
-    build_witness,
-    shape_catalog,
-    verify_witness,
-)
+from .moduli import CountResult, component_count, is_nonempty
+from .witness import Witness, build_witness
 
 __version__ = "0.1.0"
 
@@ -79,52 +33,19 @@ __all__ = [
     "CensusRow",
     "Certificate",
     "CountResult",
-    "KummerLattice",
-    "ModuliInvariants",
-    "Piece",
-    "SearchBounds",
-    "SplitClass",
     "Verdict",
-    "WSplit",
     "Witness",
-    "WitnessShape",
-    "bb_square",
-    "build_row",
     "build_witness",
     "census_rows",
     "certificate_is_valid",
-    "certify_decomposition",
-    "certify_direct",
     "component_count",
-    "connectedness_report",
     "decide",
-    "default_bounds",
-    "distinct_prime_count",
-    "divisibility_crosscheck",
-    "divisibility_split",
-    "divisibility_vector",
-    "embed",
-    "enumerate_primitive_classes",
-    "euler_phi",
-    "exceptional_set",
-    "gram_matrix",
-    "invariants",
     "is_nonempty",
-    "is_primitive",
-    "is_quadratic_residue",
-    "mod_inverse",
-    "nonemptiness_crosscheck",
-    "pairing",
     "rows_to_csv",
     "rows_to_json",
-    "shape_catalog",
-    "split_w",
-    "square_split",
     "suite_connectedness",
     "suite_divisibility",
     "suite_exceptional",
     "suite_nonemptiness",
     "suite_witnesses",
-    "verify_witness",
-    "very_ample_bound",
 ]

@@ -1,10 +1,12 @@
 """Grid census over (n, d, t) and the named verification suites.
 
-The census emits one row per (n, d <= d_max, t | 2n+2), sorted by
-(n, d, t), as CSV or JSON.  Rows are pure functions of their triple, so
-the table is byte-identical across runs and worker counts; the
-KUMMER_THREADS environment variable caps the worker pool (default: the
-machine's available parallelism).
+The census emits one row per triple of :func:`moduli.triples` -- n in
+{2, 3, 4}, d <= d_max, t | 2n+2 -- sorted by (n, d, t), as CSV or JSON.
+An n outside {2, 3, 4} or a d_max < 1 is rejected before any row is
+built.  Rows are pure functions of their triple, so the table is
+byte-identical across runs and worker counts; the KUMMER_THREADS
+environment variable caps the worker pool (default: the machine's
+available parallelism).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .bpf import Certificate, certificate_is_valid, decide, exceptional_set
-from .moduli import component_count, connectedness_report
+from .moduli import component_count, connectedness_report, triples
 from .oracle import SearchBounds, divisibility_crosscheck, nonemptiness_crosscheck
 from .witness import Witness, build_witness, verify_witness
 
@@ -87,20 +89,12 @@ def census_rows(
     n_set: Iterable[int], d_max: int, max_workers: int | None = None
 ) -> list[CensusRow]:
     """All census rows for the given dimensions, sorted by (n, d, t)."""
-    if d_max < 1:
-        raise ValueError(f"d_max must be >= 1, got {d_max}")
-    triples = [
-        (n, d, t)
-        for n in sorted(set(n_set))
-        for d in range(1, d_max + 1)
-        for t in range(1, 2 * n + 3)
-        if (2 * n + 2) % t == 0
-    ]
+    grid = list(triples(n_set, d_max))
     workers = max_workers if max_workers is not None else worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda args: build_row(*args), triples))
-    return [build_row(*triple) for triple in triples]
+            return list(pool.map(lambda args: build_row(*args), grid))
+    return [build_row(*triple) for triple in grid]
 
 
 def _cell(value: object) -> str:
@@ -151,7 +145,7 @@ def suite_connectedness(d_max: int = 500) -> SuiteResult:
     lines = []
     ok = True
     for n in (2, 3, 4):
-        violations = connectedness_report(n, d_max, 2 * n + 2)
+        violations = connectedness_report(n, d_max)
         lines.append(f"n={n} d<={d_max}: {len(violations)} violation(s)")
         for n_, d, t, count in violations[:20]:
             ok = False
@@ -179,17 +173,13 @@ def suite_witnesses(d_max: int = 500) -> SuiteResult:
     lines = []
     failures = []
     checked = 0
-    for n in (2, 3, 4):
-        for d in range(1, d_max + 1):
-            for t in range(2, 2 * n + 3):
-                if (2 * n + 2) % t != 0:
-                    continue
-                if component_count(n, d, t).count == 0:
-                    continue
-                checked += 1
-                w = build_witness(n, d, t)
-                if w is None or not verify_witness(w, n, d, t):
-                    failures.append((n, d, t))
+    for n, d, t in triples((2, 3, 4), d_max):
+        if t == 1 or component_count(n, d, t).count == 0:
+            continue
+        checked += 1
+        w = build_witness(n, d, t)
+        if w is None or not verify_witness(w, n, d, t):
+            failures.append((n, d, t))
     lines.append(f"checked {checked} non-empty triples with t >= 2, d <= {d_max}")
     for triple in failures:
         lines.append(f"  WITNESS FAILURE at (n,d,t)={triple}")

@@ -31,7 +31,13 @@ from .moduli import component_count
 from .oracle import SearchBounds
 from .witness import build_witness
 
-_SUITES = ("divisibility", "connectedness", "nonemptiness", "witnesses", "exceptional")
+_SUITES = {
+    "divisibility": suite_divisibility,
+    "connectedness": suite_connectedness,
+    "nonemptiness": suite_nonemptiness,
+    "witnesses": suite_witnesses,
+    "exceptional": suite_exceptional,
+}
 
 
 def _parse_bounds(text: str) -> SearchBounds:
@@ -181,17 +187,14 @@ def _cmd_census(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.d_max is not None:
+        if args.suite == "divisibility":
+            raise ValueError("--d-max does not apply to the divisibility suite")
         kwargs["d_max"] = args.d_max
-    if args.suite == "divisibility":
-        result = suite_divisibility()
-    elif args.suite == "connectedness":
-        result = suite_connectedness(**kwargs)
-    elif args.suite == "nonemptiness":
-        result = suite_nonemptiness(bounds=args.bounds, **kwargs)
-    elif args.suite == "witnesses":
-        result = suite_witnesses(**kwargs)
-    else:
-        result = suite_exceptional(**kwargs)
+    if args.bounds is not None:
+        if args.suite != "nonemptiness":
+            raise ValueError("--bounds applies to the nonemptiness suite only")
+        kwargs["bounds"] = args.bounds
+    result = _SUITES[args.suite](**kwargs)
     for line in result.lines:
         print(line)
     print(f"{result.name}: {'PASS' if result.passed else 'FAIL'}")

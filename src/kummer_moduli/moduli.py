@@ -8,26 +8,33 @@ derived integers
     g  = gcd(2d, 2n+2) / t       w  = gcd(g, t)
     g1 = g / w                   t1 = t / w
 
-through a four-way case split.  Cases are evaluated in their listed
-order and the first match wins; the tag of the matching case is
-reported alongside the count so tables stay auditable.
+through a four-way case split (a, b, c, d), shared by the regimes t > 2
+and t <= 2.  Cases are evaluated in their listed order and the first
+match wins; the tag of the matching case (1a 1b 1c 2 for t > 2, 3a 3b 3c
+3d for t <= 2) is reported alongside the count so tables stay auditable.
 
-The multiplicative count for the t > 2 cases is
+The regime t > 2 adds one parity rule to two cases (d1 even in case c,
+t1 even in case d) and counts components multiplicatively:
 
     w_plus(t1) * phi(w_minus(t1)) * 2^(rho(l) - 1)
 
-with l = t1 in case (1) and l = t1/2 in case (2).  When rho(l) = 0 the
+with l = t1 in cases a, b, c and l = t1/2 in case d.  When rho(l) = 0 the
 power is the exact rational 1/2; the product is provably integral under
 each case's hypotheses, and this module evaluates it exactly (asserting
 integrality) rather than rounding.  Defining the power as 1 instead
 produces two-component verdicts inside the connectedness range (e.g.
-n=3, d=12, t=4), which the corollary scan rejects.
+n=3, d=12, t=4), which the corollary scan rejects.  For t <= 2 a matching
+case always yields a single component.
+
+:func:`triples` is the (n, d, t) grid that the census and the
+verification scans walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterable, Iterator
 
 from .arith import (
     distinct_prime_count,
@@ -38,6 +45,10 @@ from .arith import (
 )
 
 EMPTY_TAGS = ("4-empty", "precondition-empty")
+
+# case tags a, b, c, d of the regimes t > 2 and t <= 2
+_TAGS_T_ABOVE_2 = ("1a", "1b", "1c", "2")
+_TAGS_T_UP_TO_2 = ("3a", "3b", "3c", "3d")
 
 
 @dataclass(frozen=True)
@@ -102,99 +113,94 @@ def _halved_power_count(w: int, t1: int, l: int) -> int:
 
 
 def component_count(n: int, d: int, t: int) -> CountResult:
-    """Number of components of the moduli space, with the matching case tag."""
+    """Number of components of the moduli space, with the matching case tag.
+
+    Case c can never match: it needs w, g1 and t1 all odd, but
+    w^2 * g1 * t1 = gcd(2d, 2n+2) is even.  It is kept so that the chain
+    mirrors the case split of the count theorem.
+    """
     _check_params(n, d, t)
     if gcd(2 * d, 2 * n + 2) % t != 0:
         return CountResult(0, "precondition-empty")
     inv = invariants(n, d, t)
     d1, n1, w, g1, t1 = inv.d1, inv.n1, inv.w, inv.g1, inv.t1
 
+    above_2 = t > 2
     coprime_t1 = gcd(d1, t1) == 1
-    coprime_2t1 = coprime_t1 and gcd(n1, 2 * t1) == 1
+    # hypotheses shared by cases b, c and d
+    coprime_odd_g1 = g1 % 2 == 1 and coprime_t1 and gcd(n1, 2 * t1) == 1
 
-    if t > 2:
-        if (
-            g1 % 2 == 0
-            and coprime_t1
-            and gcd(n1, t1) == 1
-            and is_quadratic_residue(_neg_ratio(d1, n1, t1), t1)
-        ):
-            return CountResult(_halved_power_count(w, t1, t1), "1a")
-        if (
-            g1 % 2 == 1
-            and t1 % 2 == 1
-            and d1 % 2 == 1
-            and coprime_2t1
-            and is_quadratic_residue(_neg_ratio(d1, n1, 2 * t1), 2 * t1)
-        ):
-            return CountResult(_halved_power_count(w, t1, t1), "1b")
-        if (
-            g1 % 2 == 1
-            and t1 % 2 == 1
-            and w % 2 == 1
-            and d1 % 2 == 0
-            and coprime_2t1
-            and is_quadratic_residue(_neg_ratio(d1, 4 * n1, t1), t1)
-        ):
-            return CountResult(_halved_power_count(w, t1, t1), "1c")
-        if (
-            g1 % 2 == 1
-            and t1 % 2 == 0
-            and coprime_2t1
-            and is_quadratic_residue(_neg_ratio(d1, n1, 2 * t1), 2 * t1)
-        ):
-            return CountResult(_halved_power_count(w, t1, t1 // 2), "2")
-        return CountResult(0, "4-empty")
-
-    # t <= 2: a matching case always yields a single component
+    # the quadratic-residue scan is the costly test: it stays the last conjunct
     if (
         g1 % 2 == 0
         and coprime_t1
         and gcd(n1, t1) == 1
         and is_quadratic_residue(_neg_ratio(d1, n1, t1), t1)
     ):
-        return CountResult(1, "3a")
-    if (
-        g1 % 2 == 1
+        case = 0
+    elif (
+        coprime_odd_g1
         and t1 % 2 == 1
         and d1 % 2 == 1
-        and coprime_2t1
         and is_quadratic_residue(_neg_ratio(d1, n1, 2 * t1), 2 * t1)
     ):
-        return CountResult(1, "3b")
-    # unlike its t > 2 analogue, this case carries no parity condition on d1
-    if (
-        g1 % 2 == 1
+        case = 1
+    elif (
+        coprime_odd_g1
         and t1 % 2 == 1
         and w % 2 == 1
-        and coprime_2t1
+        and (not above_2 or d1 % 2 == 0)
         and is_quadratic_residue(_neg_ratio(d1, 4 * n1, t1), t1)
     ):
-        return CountResult(1, "3c")
-    if (
-        g1 % 2 == 1
-        and coprime_2t1
+        case = 2
+    elif (
+        coprime_odd_g1
+        and (not above_2 or t1 % 2 == 0)
         and is_quadratic_residue(_neg_ratio(d1, n1, 2 * t1), 2 * t1)
     ):
-        return CountResult(1, "3d")
-    return CountResult(0, "4-empty")
+        case = 3
+    else:
+        return CountResult(0, "4-empty")
+
+    if not above_2:
+        return CountResult(1, _TAGS_T_UP_TO_2[case])
+    l = t1 // 2 if case == 3 else t1
+    return CountResult(_halved_power_count(w, t1, l), _TAGS_T_ABOVE_2[case])
 
 
 def is_nonempty(n: int, d: int, t: int) -> bool:
     return component_count(n, d, t).count > 0
 
 
-def connectedness_report(n: int, d_max: int, t_max: int) -> list[tuple[int, int, int, int]]:
-    """All (n, d, t, count) with d <= d_max, t <= t_max and count not in {0, 1}.
+def triples(n_values: Iterable[int], d_max: int) -> Iterator[tuple[int, int, int]]:
+    """Every (n, d, t) with n in n_values, 1 <= d <= d_max and t | 2n+2, sorted.
 
-    Expected to be empty for n in {2, 3, 4}.
+    Raises ValueError, before yielding anything, when d_max < 1 or an n
+    lies outside {2, 3, 4}.
     """
-    if n not in (2, 3, 4):
-        raise ValueError(f"connectedness is only asserted for n in {{2,3,4}}, got {n}")
+    ns = sorted(set(n_values))
+    if d_max < 1:
+        raise ValueError(f"d_max must be >= 1, got {d_max}")
+    outside = [n for n in ns if n not in (2, 3, 4)]
+    if outside:
+        raise ValueError(f"scans cover n in {{2,3,4}} only, got n={outside}")
+    for n in ns:
+        divisors = [t for t in range(1, 2 * n + 3) if (2 * n + 2) % t == 0]
+        for d in range(1, d_max + 1):
+            for t in divisors:
+                yield n, d, t
+
+
+def connectedness_report(n: int, d_max: int) -> list[tuple[int, int, int, int]]:
+    """All (n, d, t, count) with d <= d_max, t | 2n+2 and count not in {0, 1}.
+
+    A t that does not divide 2n+2 never divides gcd(2d, 2n+2), so its
+    space is precondition-empty and needs no check.  Expected to be empty
+    for n in {2, 3, 4}.
+    """
     violations = []
-    for d in range(1, d_max + 1):
-        for t in range(1, t_max + 1):
-            count = component_count(n, d, t).count
-            if count not in (0, 1):
-                violations.append((n, d, t, count))
+    for _, d, t in triples((n,), d_max):
+        count = component_count(n, d, t).count
+        if count not in (0, 1):
+            violations.append((n, d, t, count))
     return violations

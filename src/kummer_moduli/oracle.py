@@ -8,7 +8,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .lattice import SplitClass, divisibility_split, gram_matrix, square_split
-from .moduli import component_count
+from .moduli import component_count, triples
 
 
 @dataclass(frozen=True)
@@ -105,20 +105,16 @@ def nonemptiness_crosscheck(
 ) -> list[tuple[int, int, int]]:
     """Triples the count theorem calls non-empty but the search cannot hit.
 
-    One-directional: theorem-non-empty must imply a lattice class exists.
-    Bounds default to :func:`default_bounds` per triple.  Returns
-    violations (expected: none).
+    Scans the triples of :func:`moduli.triples` for this n, so n must be
+    in {2, 3, 4} and d_max >= 1.  One-directional: theorem-non-empty must
+    imply a lattice class exists.  Bounds default to :func:`default_bounds`
+    per triple.  Returns violations (expected: none).
     """
-    if n not in (2, 3, 4):
-        raise ValueError(f"nonemptiness_crosscheck needs n in {{2,3,4}}, got {n}")
     violations = []
-    for d in range(1, d_max + 1):
-        for t in range(1, 2 * n + 3):
-            if (2 * n + 2) % t != 0:
-                continue
-            if component_count(n, d, t).count == 0:
-                continue
-            box = bounds if bounds is not None else default_bounds(n, d, t)
-            if not enumerate_primitive_classes(n, d, t, box):
-                violations.append((n, d, t))
+    for _, d, t in triples((n,), d_max):
+        if component_count(n, d, t).count == 0:
+            continue
+        box = bounds if bounds is not None else default_bounds(n, d, t)
+        if not enumerate_primitive_classes(n, d, t, box):
+            violations.append((n, d, t))
     return violations

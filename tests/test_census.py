@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from kummer_moduli import census
 from kummer_moduli.census import (
     CSV_HEADER,
     build_row,
@@ -79,6 +80,14 @@ def test_json_schema():
 def test_census_rejects_bad_range():
     with pytest.raises(ValueError):
         census_rows([2], 0)
+
+
+def test_census_rejects_unsupported_n_before_any_row(monkeypatch):
+    built = []
+    monkeypatch.setattr(census, "build_row", lambda *triple: built.append(triple))
+    with pytest.raises(ValueError):
+        census_rows([2, 5], 3, max_workers=1)
+    assert built == []
 
 
 def test_census_deterministic_across_worker_counts():

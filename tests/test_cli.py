@@ -1,5 +1,6 @@
 """End-to-end command-line checks through a real subprocess."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -90,6 +91,19 @@ def test_census_unwritable_path_exit_2():
     assert "error" in proc.stderr.lower()
 
 
+def test_census_unsupported_n_exit_2():
+    proc = run("census", "5", "--d-max", "3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "n in {2,3,4}" in proc.stderr
+
+
+def test_census_output_pinned():
+    proc = run("census", "2", "3", "4", "--d-max", "200")
+    assert proc.returncode == 0
+    assert hashlib.md5(proc.stdout.encode()).hexdigest() == "5e8db4b62d954d879cee95943c64e59f"
+
+
 def test_census_byte_identical_runs():
     first = run("census", "2", "--d-max", "30")
     second = run("census", "2", "--d-max", "30")
@@ -111,6 +125,24 @@ def test_verify_passing_suites():
 
 def test_verify_unknown_suite_exit_2():
     assert run("verify", "nonsense").returncode == 2
+
+
+def test_verify_rejects_flags_the_suite_ignores():
+    proc = run("verify", "divisibility", "--d-max", "10")
+    assert proc.returncode == 2
+    assert "--d-max" in proc.stderr and proc.stdout == ""
+    for suite in ("connectedness", "witnesses"):
+        proc = run("verify", suite, "--d-max", "10", "--bounds", "1,1,1")
+        assert proc.returncode == 2
+        assert "--bounds" in proc.stderr and proc.stdout == ""
+
+
+def test_verify_empty_range_exit_2():
+    for suite, d_max in (("connectedness", "0"), ("witnesses", "-1"),
+                         ("nonemptiness", "0"), ("exceptional", "-3")):
+        proc = run("verify", suite, "--d-max", d_max)
+        assert proc.returncode == 2, suite
+        assert "PASS" not in proc.stdout
 
 
 def test_verify_exceptional_matches_library():

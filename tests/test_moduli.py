@@ -1,5 +1,8 @@
 """Derived invariants, component-count case analysis, connectedness."""
 
+import hashlib
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +13,7 @@ from kummer_moduli.moduli import (
     connectedness_report,
     invariants,
     is_nonempty,
+    triples,
 )
 
 
@@ -77,14 +81,42 @@ def test_cor_proof_values_t6():
 
 
 def test_connectedness_reports_empty():
-    assert connectedness_report(2, 200, 6) == []
-    assert connectedness_report(3, 200, 8) == []
-    assert connectedness_report(4, 200, 10) == []
+    assert connectedness_report(2, 200) == []
+    assert connectedness_report(3, 200) == []
+    assert connectedness_report(4, 200) == []
 
 
 def test_connectedness_report_domain():
     with pytest.raises(ValueError):
-        connectedness_report(5, 10, 12)
+        connectedness_report(5, 10)
+    with pytest.raises(ValueError):
+        connectedness_report(2, 0)
+
+
+def test_triples_walk_divisors_in_order():
+    assert list(triples([3, 2, 2], 2)) == [
+        (n, d, t) for n, divisors in ((2, (1, 2, 3, 6)), (3, (1, 2, 4, 8)))
+        for d in (1, 2) for t in divisors
+    ]
+
+
+@pytest.mark.parametrize("n_values, d_max", [([2], 0), ([3], -1), ([2, 5], 3), ([1], 3)])
+def test_triples_rejects_domain_before_yielding(n_values, d_max):
+    walk = triples(n_values, d_max)
+    with pytest.raises(ValueError):
+        next(walk)
+
+
+def test_count_table_pinned():
+    """Every (count, tag) for n <= 24, d <= 500, t <= 2n+2, pinned by md5."""
+    lines = []
+    for n in range(2, 25):
+        for d in range(1, 501):
+            for t in range(1, 2 * n + 3):
+                result = component_count(n, d, t)
+                lines.append(f"{n},{d},{t},{result.count},{result.case_tag}")
+    digest = hashlib.md5(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == "82827ac1fa6d62e75abca31b3a7198ef"
 
 
 def test_invalid_params():
@@ -117,3 +149,14 @@ def test_non_divisor_t_is_precondition_empty(n, d):
         if (2 * n + 2) % t == 0:
             continue
         assert component_count(n, d, t) == CountResult(0, "precondition-empty")
+
+
+@given(st.integers(2, 10**4), st.integers(1, 10**6), st.data())
+def test_case_c_never_matches(n, d, data):
+    # w^2 * g1 * t1 = gcd(2d, 2n+2) is even, so w, g1, t1 are never all odd
+    big = gcd(2 * d, 2 * n + 2)
+    t = data.draw(st.sampled_from([k for k in range(1, big + 1) if big % k == 0]))
+    inv = invariants(n, d, t)
+    assert inv.w * inv.w * inv.g1 * inv.t1 == big
+    assert not (inv.w % 2 == inv.g1 % 2 == inv.t1 % 2 == 1)
+    assert component_count(n, d, t).case_tag not in ("1c", "3c")
