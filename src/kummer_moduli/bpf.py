@@ -58,9 +58,17 @@ class Certificate:
 
 @dataclass(frozen=True)
 class Verdict:
+    """Outcome of :func:`decide` for one triple (n, d, t).
+
+    ``components`` is the number of moduli components that ``decide``
+    computed on the way (``component_count(n, d, t).count``); it is 0
+    exactly when the status is ``Empty``, so callers need not count again.
+    """
+
     status: str  # Empty | GenericBPF | Unknown
     certificate: Optional[Certificate]
     in_exceptional_set: bool
+    components: int
 
 
 def exceptional_set() -> frozenset[tuple[int, int, int]]:
@@ -136,13 +144,15 @@ def certify_decomposition(n: int, w: Witness) -> Certificate | None:
 def decide(n: int, d: int, t: int) -> Verdict:
     """Verdict for (n, d, t): Empty, GenericBPF with certificate, or Unknown."""
     in_a = (n, d, t) in _EXCEPTIONAL_TRIPLES
-    if component_count(n, d, t).count == 0:
-        return Verdict("Empty", None, in_a)
+    count = component_count(n, d, t).count
+    if count == 0:
+        return Verdict("Empty", None, in_a, count)
     if t == 1:
         return Verdict(
             "GenericBPF",
             Certificate(kind="DivisibilityOne", note=DIVISIBILITY_ONE_NOTE),
             in_a,
+            count,
         )
     if n not in (2, 3, 4):
         raise ValueError(
@@ -150,14 +160,14 @@ def decide(n: int, d: int, t: int) -> Verdict:
         )
     w = build_witness(n, d, t)
     if w is None:
-        return Verdict("Unknown", None, in_a)
+        return Verdict("Unknown", None, in_a, count)
     if w.shape.c_delta == -1:
         cert = certify_direct(n, w)
     else:
         cert = certify_decomposition(n, w)
     if cert is None:
-        return Verdict("Unknown", None, in_a)
-    return Verdict("GenericBPF", cert, in_a)
+        return Verdict("Unknown", None, in_a, count)
+    return Verdict("GenericBPF", cert, in_a, count)
 
 
 def certificate_is_valid(n: int, d: int, t: int, cert: Certificate) -> bool:

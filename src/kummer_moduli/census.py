@@ -4,9 +4,14 @@ The census emits one row per triple of :func:`moduli.triples` -- n in
 {2, 3, 4}, d <= d_max, t | 2n+2 -- sorted by (n, d, t), as CSV or JSON.
 An n outside {2, 3, 4} or a d_max < 1 is rejected before any row is
 built.  Rows are pure functions of their triple, so the table is
-byte-identical across runs and worker counts; the KUMMER_THREADS
-environment variable caps the worker pool (default: the machine's
-available parallelism).
+byte-identical across runs and worker counts.
+
+The census runs serially by default.  The KUMMER_THREADS environment
+variable (or ``max_workers``) opts into a thread pool of that many
+workers, which is slower: the rows are pure-Python work, so the threads
+contend for the interpreter lock.  On a 2-core host, ``kummer census
+2 3 4 --d-max 5000 --out FILE`` took 1.3 s serially against 4.3 s with
+two threads (medians of three runs each).
 """
 
 from __future__ import annotations
@@ -49,8 +54,8 @@ class CensusRow:
 
 
 def build_row(n: int, d: int, t: int) -> CensusRow:
-    count = component_count(n, d, t).count
     verdict = decide(n, d, t)
+    count = verdict.components
     witness: Witness | None = None
     if count > 0 and t >= 2:
         witness = build_witness(n, d, t)
@@ -73,9 +78,10 @@ def build_row(n: int, d: int, t: int) -> CensusRow:
 
 
 def worker_count() -> int:
+    """Census workers: KUMMER_THREADS if set, else 1 (serial)."""
     raw = os.environ.get("KUMMER_THREADS")
     if raw is None:
-        return os.cpu_count() or 1
+        return 1
     try:
         value = int(raw)
     except ValueError:
@@ -88,7 +94,13 @@ def worker_count() -> int:
 def census_rows(
     n_set: Iterable[int], d_max: int, max_workers: int | None = None
 ) -> list[CensusRow]:
-    """All census rows for the given dimensions, sorted by (n, d, t)."""
+    """All census rows for the given dimensions, sorted by (n, d, t).
+
+    ``max_workers`` overrides :func:`worker_count`; a value below 1 is
+    rejected before any row is built.
+    """
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be a positive integer, got {max_workers!r}")
     grid = list(triples(n_set, d_max))
     workers = max_workers if max_workers is not None else worker_count()
     if workers > 1:

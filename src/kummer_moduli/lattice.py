@@ -71,10 +71,10 @@ def _check_vector(v: Vector) -> tuple[int, ...]:
 
 
 def pairing(v: Vector, w: Vector, lat: KummerLattice) -> int:
-    """Bilinear pairing v^T * gram * w."""
+    """Bilinear pairing v^T * gram * w, in closed form for U^3 + <-(2n+2)>."""
     vt, wt = _check_vector(v), _check_vector(w)
-    g = lat.gram
-    return sum(vt[i] * g[i][j] * wt[j] for i in range(RANK) for j in range(RANK))
+    hyperbolic = sum(vt[i] * wt[i + 1] + vt[i + 1] * wt[i] for i in (0, 2, 4))
+    return hyperbolic - (2 * lat.n + 2) * vt[6] * wt[6]
 
 
 def bb_square(v: Vector, lat: KummerLattice) -> int:
@@ -85,16 +85,14 @@ def bb_square(v: Vector, lat: KummerLattice) -> int:
 def divisibility_vector(v: Vector, lat: KummerLattice) -> int:
     """Positive generator of the ideal of pairings of v with the lattice.
 
-    Computed as the gcd of the pairings with the 7 basis vectors.  The
-    zero vector has no divisibility (the ideal degenerates) and is
-    rejected.
+    Computed as the gcd of the pairings with the 7 basis vectors, which
+    are v1, v0, v3, v2, v5, v4 and -(2n+2)*v6.  The zero vector has no
+    divisibility (the ideal degenerates) and is rejected.
     """
     vt = _check_vector(v)
     if not any(vt):
         raise ValueError("divisibility of the zero class is undefined")
-    g = lat.gram
-    pairings = [sum(g[i][j] * vt[j] for j in range(RANK)) for i in range(RANK)]
-    return gcd(*pairings)
+    return gcd(*vt[:6], (2 * lat.n + 2) * vt[6])
 
 
 def is_primitive(v: Vector) -> bool:

@@ -12,6 +12,7 @@ from kummer_moduli.bpf import (
     exceptional_set,
     very_ample_bound,
 )
+from kummer_moduli.moduli import component_count, triples
 from kummer_moduli.witness import build_witness
 
 
@@ -120,3 +121,8 @@ def test_certificate_rejects_wrong_triple():
     assert not certificate_is_valid(2, 9, 2, cert)
     cert = decide(6, 4, 1).certificate
     assert not certificate_is_valid(2, 3, 3, cert)  # empty space
+
+
+def test_verdict_carries_the_component_count():
+    for n, d, t in triples((2, 3, 4), 200):
+        assert decide(n, d, t).components == component_count(n, d, t).count

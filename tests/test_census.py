@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kummer_moduli import census
+from kummer_moduli import bpf, census, moduli
 from kummer_moduli.census import (
     CSV_HEADER,
     build_row,
@@ -90,6 +90,47 @@ def test_census_rejects_unsupported_n_before_any_row(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_census_rejects_bad_worker_count_before_any_row(monkeypatch, workers):
+    built = []
+    monkeypatch.setattr(census, "build_row", lambda *triple: built.append(triple))
+    with pytest.raises(ValueError, match="max_workers must be a positive integer"):
+        census_rows([2], 3, max_workers=workers)
+    assert built == []
+
+
+def test_census_per_row_call_budget(monkeypatch):
+    """One component_count per row, plus the two of the witness builds.
+
+    build_row must still call decide and build_witness itself: the
+    traced benchmark reads those spans under each build_row span, and the
+    worker_count span under census_rows.
+    """
+    monkeypatch.delenv("KUMMER_THREADS", raising=False)
+    calls = {"component_count": 0, "decide": 0, "build_witness": 0, "worker_count": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    counted_count = counting("component_count", moduli.component_count)
+    for module in (moduli, bpf, census):
+        monkeypatch.setattr(module, "component_count", counted_count)
+    for name in ("decide", "build_witness", "worker_count"):
+        monkeypatch.setattr(census, name, counting(name, getattr(census, name)))
+
+    rows = census_rows([2, 3, 4], 60)
+    witness_rows = sum(1 for r in rows if r.nonempty and r.t >= 2)
+    assert witness_rows > 0
+    assert calls["component_count"] <= len(rows) + 2 * witness_rows
+    assert calls["decide"] == len(rows)
+    assert calls["build_witness"] == witness_rows
+    assert calls["worker_count"] == 1
+
+
 def test_census_deterministic_across_worker_counts():
     solo = rows_to_csv(census_rows([2, 3], 25, max_workers=1))
     pooled = rows_to_csv(census_rows([2, 3], 25, max_workers=4))
@@ -98,7 +139,7 @@ def test_census_deterministic_across_worker_counts():
 
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("KUMMER_THREADS", raising=False)
-    assert worker_count() >= 1
+    assert worker_count() == 1
     monkeypatch.setenv("KUMMER_THREADS", "3")
     assert worker_count() == 3
     monkeypatch.setenv("KUMMER_THREADS", "0")

@@ -180,3 +180,16 @@ def test_split_matches_embedded_vector(c):
 @given(split_classes)
 def test_split_divisibility_formula(c):
     assert divisibility_split(c) == math.gcd(c.a, 2 * (c.n + 1) * c.b)
+
+
+wide_coords = st.tuples(*[st.integers(-50, 50)] * 7)
+
+
+@given(wide_coords, wide_coords.filter(lambda v: any(v)), st.integers(2, 30))
+def test_closed_forms_match_gram_matrix(v, w, n):
+    g = gram_matrix(n)
+    lat = KummerLattice(n)
+    explicit = sum(v[i] * g[i][j] * w[j] for i in range(RANK) for j in range(RANK))
+    assert pairing(v, w, lat) == explicit
+    row_pairings = [sum(g[i][j] * w[j] for j in range(RANK)) for i in range(RANK)]
+    assert divisibility_vector(w, lat) == math.gcd(*row_pairings)
