@@ -4,14 +4,13 @@ The census emits one row per triple of :func:`moduli.triples` -- n in
 {2, 3, 4}, d <= d_max, t | 2n+2 -- sorted by (n, d, t), as CSV or JSON.
 An n outside {2, 3, 4} or a d_max < 1 is rejected before any row is
 built.  Rows are pure functions of their triple, so the table is
-byte-identical across runs and worker counts.
+byte-identical across runs.
 
-The census runs serially by default.  The KUMMER_THREADS environment
-variable (or ``max_workers``) opts into a thread pool of that many
-workers, which is slower: the rows are pure-Python work, so the threads
-contend for the interpreter lock.  On a 2-core host, ``kummer census
-2 3 4 --d-max 5000 --out FILE`` took 1.3 s serially against 4.3 s with
-two threads (medians of three runs each).
+The census runs serially: its rows are pure-Python work, so threads only
+contend for the interpreter lock.  On a 2-core host, ``kummer census 2 3
+4 --d-max 5000 --out FILE`` took 1.3 s serially against 4.3 s on a pool
+of two threads (medians of three runs each).  The KUMMER_THREADS
+environment variable is accepted but does not change the worker count.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -78,34 +76,25 @@ def build_row(n: int, d: int, t: int) -> CensusRow:
 
 
 def worker_count() -> int:
-    """Census workers: KUMMER_THREADS if set, else 1 (serial)."""
-    raw = os.environ.get("KUMMER_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"KUMMER_THREADS must be a positive integer, got {raw!r}")
-    return value
+    """Census workers: always 1 (the census is serial).
 
-
-def census_rows(
-    n_set: Iterable[int], d_max: int, max_workers: int | None = None
-) -> list[CensusRow]:
-    """All census rows for the given dimensions, sorted by (n, d, t).
-
-    ``max_workers`` overrides :func:`worker_count`; a value below 1 is
-    rejected before any row is built.
+    KUMMER_THREADS, if set, must still be a positive integer.
     """
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be a positive integer, got {max_workers!r}")
+    raw = os.environ.get("KUMMER_THREADS")
+    if raw is not None:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise ValueError(f"KUMMER_THREADS must be a positive integer, got {raw!r}")
+    return 1
+
+
+def census_rows(n_set: Iterable[int], d_max: int) -> list[CensusRow]:
+    """All census rows for the given dimensions, sorted by (n, d, t)."""
     grid = list(triples(n_set, d_max))
-    workers = max_workers if max_workers is not None else worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda args: build_row(*args), grid))
+    worker_count()
     return [build_row(*triple) for triple in grid]
 
 

@@ -68,18 +68,16 @@ def divisibility_crosscheck(
     if coord_bound < 1:
         raise ValueError(f"coord_bound must be >= 1, got {coord_bound}")
     gram = np.array(gram_matrix(n), dtype=np.int64)
-    side = 2 * coord_bound + 1
-    # one column per vector, in lexicographic order of the coordinates;
-    # the reductions then run along contiguous rows
-    vectors = np.indices((side,) * 7, dtype=np.int64).reshape(7, -1) - coord_bound
-    vectors = vectors[:, vectors.any(axis=0)]
-    pairings = gram @ vectors
-    ideal_gcd = np.gcd.reduce(pairings, axis=0)
-    content = np.gcd.reduce(vectors[:6], axis=0)
-    formula = np.gcd(content, 2 * (n + 1) * vectors[6])
+    vals = np.arange(-coord_bound, coord_bound + 1, dtype=np.int64)
+    vectors = np.stack(np.meshgrid(*([vals] * 7), indexing="ij"), axis=-1).reshape(-1, 7)
+    vectors = vectors[np.any(vectors != 0, axis=1)]
+    pairings = vectors @ gram
+    ideal_gcd = np.gcd.reduce(np.abs(pairings), axis=1)
+    content = np.gcd.reduce(np.abs(vectors[:, :6]), axis=1)
+    formula = np.gcd(content, 2 * (n + 1) * np.abs(vectors[:, 6]))
     bad = np.nonzero(ideal_gcd != formula)[0]
     return [
-        (tuple(int(x) for x in vectors[:, i]), int(ideal_gcd[i]), int(formula[i]))
+        (tuple(int(x) for x in vectors[i]), int(ideal_gcd[i]), int(formula[i]))
         for i in bad
     ]
 

@@ -86,16 +86,7 @@ def test_census_rejects_unsupported_n_before_any_row(monkeypatch):
     built = []
     monkeypatch.setattr(census, "build_row", lambda *triple: built.append(triple))
     with pytest.raises(ValueError):
-        census_rows([2, 5], 3, max_workers=1)
-    assert built == []
-
-
-@pytest.mark.parametrize("workers", [0, -2])
-def test_census_rejects_bad_worker_count_before_any_row(monkeypatch, workers):
-    built = []
-    monkeypatch.setattr(census, "build_row", lambda *triple: built.append(triple))
-    with pytest.raises(ValueError, match="max_workers must be a positive integer"):
-        census_rows([2], 3, max_workers=workers)
+        census_rows([2, 5], 3)
     assert built == []
 
 
@@ -131,17 +122,18 @@ def test_census_per_row_call_budget(monkeypatch):
     assert calls["worker_count"] == 1
 
 
-def test_census_deterministic_across_worker_counts():
-    solo = rows_to_csv(census_rows([2, 3], 25, max_workers=1))
-    pooled = rows_to_csv(census_rows([2, 3], 25, max_workers=4))
-    assert solo == pooled
+def test_census_deterministic_across_worker_counts(monkeypatch):
+    monkeypatch.delenv("KUMMER_THREADS", raising=False)
+    unset = rows_to_csv(census_rows([2, 3], 25))
+    monkeypatch.setenv("KUMMER_THREADS", "4")
+    assert rows_to_csv(census_rows([2, 3], 25)) == unset
 
 
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("KUMMER_THREADS", raising=False)
     assert worker_count() == 1
     monkeypatch.setenv("KUMMER_THREADS", "3")
-    assert worker_count() == 3
+    assert worker_count() == 1
     monkeypatch.setenv("KUMMER_THREADS", "0")
     with pytest.raises(ValueError):
         worker_count()
