@@ -1,12 +1,11 @@
 """Generic base-point-freeness decisions with machine-checkable certificates.
 
-A triple (n, d, t) is decided along exactly three proof routes:
+A triple (n, d, t) gets one of three certificate kinds, by two routes:
 
-* divisibility one — always generically base-point-free, any n >= 2;
-* a direct witness t*L - delta whose underlying bundle t*L is
-  n-very ample, tested through f(m*L) = 2(m-1)*d_hat - 2 >= n;
-* a decomposition of a multi-delta witness c_L*L + c_delta*delta into
-  pieces k_i*L - delta, every piece passing the same f-bound.
+* divisibility one (t = 1): ``DivisibilityOne``, for any n >= 2;
+* a decomposition of the witness c_L*L + c_delta*delta into -c_delta
+  pieces k*L - delta, each n-very ample by f(k*L) = 2(k-1)*d_hat - 2 >= n:
+  ``Decomposition``, or ``DirectVeryAmple`` for one piece (c_delta = -1).
 
 ``Unknown`` means "no route certifies it", never "has base points".
 The seven-triple exclusion list the routes are measured against is
@@ -89,20 +88,6 @@ def very_ample_bound(m: int, d_hat: int) -> int:
     return 2 * (m - 1) * d_hat - 2
 
 
-def certify_direct(n: int, w: Witness) -> Certificate | None:
-    """Certificate for a witness c_L*L - delta, if c_L*L is n-very ample."""
-    if w.shape.c_delta != -1:
-        raise ValueError(
-            f"direct certification needs c_delta = -1, got {w.shape.c_delta}"
-        )
-    f = very_ample_bound(w.shape.c_L, w.d_hat)
-    if f >= n:
-        return Certificate(
-            kind="DirectVeryAmple", m=w.shape.c_L, d_hat=w.d_hat, f_value=f
-        )
-    return None
-
-
 def _partitions_desc(total: int, parts: int, max_part: int) -> Iterator[tuple[int, ...]]:
     # descending part tuples in descending lexicographic order, parts >= 2 each
     if parts == 0:
@@ -122,22 +107,27 @@ def certify_decomposition(n: int, w: Witness) -> Certificate | None:
     Searches every multiset of pieces k_i*L - delta with k_i >= 2,
     exactly -c_delta pieces, coefficients summing to c_L, in descending
     lexicographic order of the descending part tuple; a multiset
-    qualifies when every piece passes the f-bound against n.
+    qualifies when every piece passes the f-bound against n.  One piece
+    gives a ``DirectVeryAmple`` certificate, several a ``Decomposition``.
     """
-    if w.shape.c_delta > -2:
+    if w.shape.c_delta > -1:
         raise ValueError(
-            f"decomposition needs c_delta <= -2, got {w.shape.c_delta}"
+            f"certification needs c_delta <= -1, got {w.shape.c_delta}"
         )
-    n_pieces = -w.shape.c_delta
-    for partition in _partitions_desc(w.shape.c_L, n_pieces, w.shape.c_L):
-        f_values = [very_ample_bound(k, w.d_hat) for k in partition]
-        if all(f >= n for f in f_values):
-            pieces = []
-            for k in sorted(set(partition), reverse=True):
-                pieces.append(
-                    Piece(k, partition.count(k), very_ample_bound(k, w.d_hat))
-                )
-            return Certificate(kind="Decomposition", d_hat=w.d_hat, pieces=tuple(pieces))
+    for partition in _partitions_desc(w.shape.c_L, -w.shape.c_delta, w.shape.c_L):
+        f_values = {k: very_ample_bound(k, w.d_hat) for k in partition}
+        if min(f_values.values()) < n:
+            continue
+        if len(partition) == 1:
+            (m,) = partition
+            return Certificate(
+                kind="DirectVeryAmple", m=m, d_hat=w.d_hat, f_value=f_values[m]
+            )
+        pieces = tuple(
+            Piece(k, partition.count(k), f)
+            for k, f in sorted(f_values.items(), reverse=True)
+        )
+        return Certificate(kind="Decomposition", d_hat=w.d_hat, pieces=pieces)
     return None
 
 
@@ -154,17 +144,8 @@ def decide(n: int, d: int, t: int) -> Verdict:
             in_a,
             count,
         )
-    if n not in (2, 3, 4):
-        raise ValueError(
-            f"no certification route exists for n={n} with t={t} >= 2"
-        )
     w = build_witness(n, d, t)
-    if w is None:
-        return Verdict("Unknown", None, in_a, count)
-    if w.shape.c_delta == -1:
-        cert = certify_direct(n, w)
-    else:
-        cert = certify_decomposition(n, w)
+    cert = None if w is None else certify_decomposition(n, w)
     if cert is None:
         return Verdict("Unknown", None, in_a, count)
     return Verdict("GenericBPF", cert, in_a, count)
@@ -174,29 +155,21 @@ def certificate_is_valid(n: int, d: int, t: int, cert: Certificate) -> bool:
     """Re-verify a certificate from scratch; used by the census round-trip."""
     if cert.kind == "DivisibilityOne":
         return t == 1 and component_count(n, d, t).count > 0
-    w = build_witness(n, d, t)
-    if w is None or not verify_witness(w, n, d, t):
-        return False
-    if cert.d_hat != w.d_hat:
-        return False
     if cert.kind == "DirectVeryAmple":
-        return (
-            w.shape.c_delta == -1
-            and cert.m == w.shape.c_L
-            and cert.m >= 2
-            and cert.f_value == very_ample_bound(cert.m, cert.d_hat)
-            and cert.f_value >= n
-        )
-    if cert.kind == "Decomposition":
-        if not cert.pieces:
-            return False
-        total = sum(p.k * p.multiplicity for p in cert.pieces)
-        count = sum(p.multiplicity for p in cert.pieces)
-        return (
-            total == w.shape.c_L
-            and count == -w.shape.c_delta
-            and all(p.k >= 2 for p in cert.pieces)
-            and all(p.f_value == very_ample_bound(p.k, w.d_hat) for p in cert.pieces)
-            and all(p.f_value >= n for p in cert.pieces)
-        )
-    return False
+        pieces = None if cert.m is None else (Piece(cert.m, 1, cert.f_value),)
+    elif cert.kind == "Decomposition":
+        pieces = cert.pieces
+    else:
+        return False
+    if not pieces:
+        return False
+    w = build_witness(n, d, t)
+    if w is None or not verify_witness(w, n, d, t) or cert.d_hat != w.d_hat:
+        return False
+    return (
+        sum(p.k * p.multiplicity for p in pieces) == w.shape.c_L
+        and sum(p.multiplicity for p in pieces) == -w.shape.c_delta
+        and all(p.k >= 2 and p.multiplicity >= 1 for p in pieces)
+        and all(p.f_value == very_ample_bound(p.k, w.d_hat) for p in pieces)
+        and all(p.f_value >= n for p in pieces)
+    )

@@ -10,7 +10,7 @@ The census runs serially: its rows are pure-Python work, so threads only
 contend for the interpreter lock.  On a 2-core host, ``kummer census 2 3
 4 --d-max 5000 --out FILE`` took 1.3 s serially against 4.3 s on a pool
 of two threads (medians of three runs each).  The KUMMER_THREADS
-environment variable is accepted but does not change the worker count.
+environment variable is no longer read.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -76,26 +75,19 @@ def build_row(n: int, d: int, t: int) -> CensusRow:
 
 
 def worker_count() -> int:
-    """Census workers: always 1 (the census is serial).
+    """Census workers: always 1, since the census is serial.
 
-    KUMMER_THREADS, if set, must still be a positive integer.
+    It exists only for the benchmark: ``perfbench/ops.py`` calls it for
+    its machine facts and ``perfbench/layers.py`` reads its span inside
+    :func:`census_rows`.
     """
-    raw = os.environ.get("KUMMER_THREADS")
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            value = 0
-        if value < 1:
-            raise ValueError(f"KUMMER_THREADS must be a positive integer, got {raw!r}")
     return 1
 
 
 def census_rows(n_set: Iterable[int], d_max: int) -> list[CensusRow]:
     """All census rows for the given dimensions, sorted by (n, d, t)."""
-    grid = list(triples(n_set, d_max))
     worker_count()
-    return [build_row(*triple) for triple in grid]
+    return [build_row(*triple) for triple in triples(n_set, d_max)]
 
 
 def _cell(value: object) -> str:

@@ -72,13 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_decide.add_argument("n", type=int)
     p_decide.add_argument("d", type=int)
     p_decide.add_argument("t", type=int)
-    p_decide.add_argument("--format", choices=("csv", "json"), default=None)
+    p_decide.add_argument("--format", choices=("json",), default=None)
 
     p_witness = sub.add_parser("witness", help="construct a split witness class")
     p_witness.add_argument("n", type=int)
     p_witness.add_argument("d", type=int)
     p_witness.add_argument("t", type=int)
-    p_witness.add_argument("--format", choices=("csv", "json"), default=None)
+    p_witness.add_argument("--format", choices=("json",), default=None)
 
     p_census = sub.add_parser("census", help="emit the (n, d, t) census table")
     p_census.add_argument("n", type=int, nargs="+")

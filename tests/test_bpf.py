@@ -1,19 +1,23 @@
 """Very-ampleness bound, certification paths, and the decision procedure."""
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from kummer_moduli.bpf import (
     DIVISIBILITY_ONE_NOTE,
+    Certificate,
+    Piece,
     certificate_is_valid,
     certify_decomposition,
-    certify_direct,
     decide,
     exceptional_set,
     very_ample_bound,
 )
 from kummer_moduli.moduli import component_count, triples
-from kummer_moduli.witness import build_witness
+from kummer_moduli.witness import WitnessShape, build_witness
 
 
 def test_very_ample_bound_examples():
@@ -35,20 +39,22 @@ def test_very_ample_bound_formula(m, d_hat):
 
 
 def test_certify_direct_examples():
+    # a witness with c_delta = -1 is certified as the one-piece decomposition
     w = build_witness(2, 5, 2)
-    cert = certify_direct(2, w)
-    assert cert is not None and cert.f_value == 2
+    cert = certify_decomposition(2, w)
+    assert cert == Certificate(kind="DirectVeryAmple", m=2, d_hat=w.d_hat, f_value=2)
 
     # f = 0 < n: the bound is too weak for the minimal square
-    assert certify_direct(2, build_witness(2, 1, 2)) is None
+    assert certify_decomposition(2, build_witness(2, 1, 2)) is None
     # f = 2 < 3
-    assert certify_direct(3, build_witness(3, 4, 2)) is None
+    assert certify_decomposition(3, build_witness(3, 4, 2)) is None
 
 
-def test_certify_direct_requires_unit_delta_coefficient():
-    w = build_witness(3, 28, 8)  # shape (8, -3)
-    with pytest.raises(ValueError):
-        certify_direct(3, w)
+def test_certify_decomposition_requires_negative_delta_coefficient():
+    w = build_witness(2, 5, 2)
+    for c_delta in (0, 1):
+        with pytest.raises(ValueError):
+            certify_decomposition(2, replace(w, shape=WitnessShape(w.shape.c_L, c_delta)))
 
 
 def test_certify_decomposition_examples():
@@ -116,11 +122,43 @@ def test_certificates_reverify():
         assert certificate_is_valid(*triple, v.certificate)
 
 
+def test_certificate_rejects_broken_certificates():
+    direct = decide(2, 5, 2).certificate
+    assert certificate_is_valid(2, 5, 2, direct)
+    for broken in (
+        replace(direct, m=None),
+        replace(direct, m=1),
+        replace(direct, f_value=direct.f_value + 1),
+        replace(direct, kind="Bogus"),
+    ):
+        assert not certificate_is_valid(2, 5, 2, broken)
+
+    # (3, 156, 8): witness 8*L - 3*delta, d_hat = 3, pieces 1x4L + 2x2L
+    decomposition = decide(3, 156, 8).certificate
+    assert certificate_is_valid(3, 156, 8, decomposition)
+    for pieces in (
+        None,
+        (),
+        (Piece(6, 1, 28), Piece(1, 2, 0)),  # k = 1
+        (Piece(4, 2, 16),),  # 2 pieces, not 3
+        (Piece(4, 1, 16), Piece(2, 2, 4), Piece(3, 0, 10)),  # empty multiplicity
+        (Piece(6, 1, 28), Piece(2, 3, 4), Piece(4, -1, 16)),  # negative multiplicity
+    ):
+        assert not certificate_is_valid(3, 156, 8, replace(decomposition, pieces=pieces))
+
+
 def test_certificate_rejects_wrong_triple():
     cert = decide(2, 5, 2).certificate
     assert not certificate_is_valid(2, 9, 2, cert)
     cert = decide(6, 4, 1).certificate
     assert not certificate_is_valid(2, 3, 3, cert)  # empty space
+
+
+def test_verdicts_pinned():
+    text = "".join(
+        f"{n},{d},{t},{decide(n, d, t)!r}\n" for n, d, t in triples((2, 3, 4), 500)
+    )
+    assert hashlib.md5(text.encode()).hexdigest() == "283df627978c64c67f843058117eb463"
 
 
 def test_verdict_carries_the_component_count():

@@ -134,12 +134,6 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() == 1
     monkeypatch.setenv("KUMMER_THREADS", "3")
     assert worker_count() == 1
-    monkeypatch.setenv("KUMMER_THREADS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv("KUMMER_THREADS", "many")
-    with pytest.raises(ValueError):
-        worker_count()
 
 
 def test_certificates_on_rows_reverify():

@@ -59,6 +59,12 @@ def test_decide_json():
     assert payload["in_A"] is False
 
 
+def test_csv_format_rejected_for_single_triples():
+    # plain text is the default; json is the only --format of decide and witness
+    assert run("decide", "2", "5", "2", "--format", "csv").returncode == 2
+    assert run("witness", "3", "28", "8", "--format", "csv").returncode == 2
+
+
 def test_witness_command():
     proc = run("witness", "3", "28", "8", "--format", "json")
     assert proc.returncode == 0
