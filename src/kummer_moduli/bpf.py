@@ -152,7 +152,12 @@ def decide(n: int, d: int, t: int) -> Verdict:
 
 
 def certificate_is_valid(n: int, d: int, t: int, cert: Certificate) -> bool:
-    """Re-verify a certificate from scratch; used by the census round-trip."""
+    """Re-verify a certificate from scratch; used by the census round-trip.
+
+    A certificate checked against a triple it cannot certify (an empty
+    moduli space, a decomposition for t = 1, n outside {2, 3, 4}) is
+    invalid: the answer is False, not an error.
+    """
     if cert.kind == "DivisibilityOne":
         return t == 1 and component_count(n, d, t).count > 0
     if cert.kind == "DirectVeryAmple":
@@ -161,7 +166,7 @@ def certificate_is_valid(n: int, d: int, t: int, cert: Certificate) -> bool:
         pieces = cert.pieces
     else:
         return False
-    if not pieces:
+    if not pieces or n not in (2, 3, 4) or t < 2 or component_count(n, d, t).count == 0:
         return False
     w = build_witness(n, d, t)
     if w is None or not verify_witness(w, n, d, t) or cert.d_hat != w.d_hat:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, isqrt
 
 import numpy as np
@@ -61,25 +62,47 @@ def divisibility_crosscheck(
     """Compare the pairing-ideal divisibility with the split formula.
 
     Scans every nonzero vector with coordinates in [-coord_bound,
-    coord_bound]: the gcd of its pairings against the basis must equal
-    gcd(content(u), 2(n+1)|b|), where u is the unimodular part and b the
-    delta coordinate.  Returns the mismatches (expected: none).
+    coord_bound]: the gcd of its pairings against the basis, taken from
+    :func:`gram_matrix`, must equal gcd(content(u), 2(n+1)|b|), where u
+    is the unimodular part and b the delta coordinate.  Returns the
+    mismatches (expected: none) as (vector, ideal gcd, formula), in
+    lexicographic order of the vector.
+
+    The box is walked one slab at a time, a slab being the vectors with
+    one value of the first coordinate, held as a (7, (2b+1)^6) int64
+    array of contiguous coordinate rows; memory is bounded by one slab
+    (about 6.6 MB at coord_bound = 3), not by the whole box.
     """
     if coord_bound < 1:
         raise ValueError(f"coord_bound must be >= 1, got {coord_bound}")
-    gram = np.array(gram_matrix(n), dtype=np.int64)
-    vals = np.arange(-coord_bound, coord_bound + 1, dtype=np.int64)
-    vectors = np.stack(np.meshgrid(*([vals] * 7), indexing="ij"), axis=-1).reshape(-1, 7)
-    vectors = vectors[np.any(vectors != 0, axis=1)]
-    pairings = vectors @ gram
-    ideal_gcd = np.gcd.reduce(np.abs(pairings), axis=1)
-    content = np.gcd.reduce(np.abs(vectors[:, :6]), axis=1)
-    formula = np.gcd(content, 2 * (n + 1) * np.abs(vectors[:, 6]))
-    bad = np.nonzero(ideal_gcd != formula)[0]
-    return [
-        (tuple(int(x) for x in vectors[i]), int(ideal_gcd[i]), int(formula[i]))
-        for i in bad
-    ]
+    b = coord_bound
+    gram = gram_matrix(n)
+    slab = np.empty((7, (2 * b + 1) ** 6), dtype=np.int64)
+    slab[1:] = np.indices((2 * b + 1,) * 6).reshape(6, -1) - b
+    mismatches = []
+    for first in range(-b, b + 1):
+        slab[0] = first
+        # the zero vector sits in the middle of the first == 0 slab
+        vectors = np.delete(slab, slab.shape[1] // 2, axis=1) if first == 0 else slab
+        ideal_gcd = reduce(np.gcd, (_pairing_row(gram, i, vectors) for i in range(7)))
+        content = reduce(np.gcd, vectors[:6])
+        formula = np.gcd(content, 2 * (n + 1) * vectors[6])
+        for i in np.flatnonzero(ideal_gcd != formula):
+            mismatches.append(
+                (tuple(int(x) for x in vectors[:, i]), int(ideal_gcd[i]), int(formula[i]))
+            )
+    return mismatches
+
+
+def _pairing_row(
+    gram: tuple[tuple[int, ...], ...], i: int, vectors: np.ndarray
+) -> np.ndarray:
+    # pairing of every vector with basis vector i: sum_j gram[j][i] * v_j
+    row = np.zeros(vectors.shape[1], dtype=np.int64)
+    for j in range(7):
+        if gram[j][i]:
+            row += gram[j][i] * vectors[j]
+    return row
 
 
 def _ceil_sqrt_ratio(d: int, parts: int) -> int:

@@ -150,6 +150,10 @@ def test_certificate_rejects_broken_certificates():
 def test_certificate_rejects_wrong_triple():
     cert = decide(2, 5, 2).certificate
     assert not certificate_is_valid(2, 9, 2, cert)
+    # outside the witness domain (empty, t = 1, n = 5): False, not an error
+    for n, d, t in ((2, 3, 3), (2, 5, 1), (5, 4, 2)):
+        assert certificate_is_valid(n, d, t, cert) is False
+    assert certificate_is_valid(2, 3, 3, decide(3, 156, 8).certificate) is False
     cert = decide(6, 4, 1).certificate
     assert not certificate_is_valid(2, 3, 3, cert)  # empty space
 

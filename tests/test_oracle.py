@@ -1,10 +1,12 @@
 """Brute-force oracle: enumeration boxes and closed-form crosschecks."""
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from kummer_moduli import oracle
 from kummer_moduli.lattice import KummerLattice, SplitClass, divisibility_vector
 from kummer_moduli.oracle import (
     SearchBounds,
@@ -55,7 +57,37 @@ def test_default_bounds_cover_delta_coefficient():
 
 
 def test_divisibility_crosscheck_small():
-    assert divisibility_crosscheck(2, 2) == []
+    for n in (2, 3, 4):
+        assert divisibility_crosscheck(n, 2) == []
+
+
+def _wrong_gram(n):
+    # not the Kummer form: delta squares to -2n and pairs to 1 with e1
+    rows = [list(row) for row in KummerLattice(n).gram]
+    rows[0][6] = rows[6][0] = 1
+    rows[6][6] = -2 * n
+    return tuple(tuple(row) for row in rows)
+
+
+def _reference_mismatches(gram, n, b):
+    found = []
+    for v in itertools.product(range(-b, b + 1), repeat=7):
+        if not any(v):
+            continue
+        pairings = [sum(gram[j][i] * v[j] for j in range(7)) for i in range(7)]
+        formula = math.gcd(math.gcd(*v[:6]), 2 * (n + 1) * v[6])
+        if math.gcd(*pairings) != formula:
+            found.append((v, math.gcd(*pairings), formula))
+    return found
+
+
+def test_divisibility_crosscheck_catches_a_wrong_gram_matrix(monkeypatch):
+    monkeypatch.setattr(oracle, "gram_matrix", _wrong_gram)
+    for n in (2, 3, 4):
+        for b in (1, 2):
+            mismatches = divisibility_crosscheck(n, b)
+            assert mismatches
+            assert mismatches == _reference_mismatches(_wrong_gram(n), n, b)
 
 
 def test_nonemptiness_crosscheck_small():
