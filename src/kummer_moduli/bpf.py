@@ -16,7 +16,7 @@ reported with a discrepancy flag downstream, not suppressed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .moduli import component_count
 from .witness import Witness, build_witness, verify_witness
@@ -88,47 +88,40 @@ def very_ample_bound(m: int, d_hat: int) -> int:
     return 2 * (m - 1) * d_hat - 2
 
 
-def _partitions_desc(total: int, parts: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    # descending part tuples in descending lexicographic order, parts >= 2 each
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    hi = min(max_part, total - 2 * (parts - 1))
-    lo = -(-total // parts)  # largest part is at least the average
-    for k in range(hi, max(lo, 2) - 1, -1):
-        for rest in _partitions_desc(total - k, parts - 1, k):
-            yield (k, *rest)
-
-
 def certify_decomposition(n: int, w: Witness) -> Certificate | None:
     """First decomposition of the witness into base-point-free pieces.
 
-    Searches every multiset of pieces k_i*L - delta with k_i >= 2,
-    exactly -c_delta pieces, coefficients summing to c_L, in descending
-    lexicographic order of the descending part tuple; a multiset
-    qualifies when every piece passes the f-bound against n.  One piece
-    gives a ``DirectVeryAmple`` certificate, several a ``Decomposition``.
+    The candidates are the multisets of p = -c_delta pieces k_i*L - delta
+    with k_i >= 2 and sum k_i = c_L, in descending lexicographic order of
+    the descending part tuple; one qualifies when every piece passes the
+    f-bound against n.  The first qualifying one has a closed form:
+
+    1. f(k*L) = 2(k-1)*d_hat - 2 is increasing in k (d_hat >= 1), so a
+       piece passes iff k >= k0 = max(2, 1 + ceil((n+2) / (2*d_hat))).
+    2. So a tuple qualifies iff every part is at least k0.
+    3. With the other p-1 parts at least k0, the first part is at most
+       top = c_L - (p-1)*k0, and equal to it only in (top, k0, ..., k0).
+       That tuple is descending iff top >= k0, so it is the first one;
+       if top < k0, every tuple has a part below k0 and none qualifies.
+
+    One piece gives a ``DirectVeryAmple`` certificate, several a
+    ``Decomposition``.
     """
-    if w.shape.c_delta > -1:
+    p, d_hat = -w.shape.c_delta, w.d_hat
+    if p < 1 or d_hat < 1:
         raise ValueError(
-            f"certification needs c_delta <= -1, got {w.shape.c_delta}"
+            f"certification needs c_delta <= -1 and d_hat >= 1, got {-p} and {d_hat}"
         )
-    for partition in _partitions_desc(w.shape.c_L, -w.shape.c_delta, w.shape.c_L):
-        f_values = {k: very_ample_bound(k, w.d_hat) for k in partition}
-        if min(f_values.values()) < n:
-            continue
-        if len(partition) == 1:
-            (m,) = partition
-            return Certificate(
-                kind="DirectVeryAmple", m=m, d_hat=w.d_hat, f_value=f_values[m]
-            )
-        pieces = tuple(
-            Piece(k, partition.count(k), f)
-            for k, f in sorted(f_values.items(), reverse=True)
-        )
-        return Certificate(kind="Decomposition", d_hat=w.d_hat, pieces=pieces)
-    return None
+    k0 = max(2, 1 + -(-(n + 2) // (2 * d_hat)))
+    top = w.shape.c_L - (p - 1) * k0
+    if top < k0:
+        return None
+    if p == 1:
+        f_value = very_ample_bound(top, d_hat)
+        return Certificate(kind="DirectVeryAmple", m=top, d_hat=d_hat, f_value=f_value)
+    parts = ((top, 1), (k0, p - 1)) if top > k0 else ((k0, p),)
+    pieces = tuple(Piece(k, mult, very_ample_bound(k, d_hat)) for k, mult in parts)
+    return Certificate(kind="Decomposition", d_hat=d_hat, pieces=pieces)
 
 
 def decide(n: int, d: int, t: int) -> Verdict:

@@ -7,10 +7,7 @@ built.  Rows are pure functions of their triple, so the table is
 byte-identical across runs.
 
 The census runs serially: its rows are pure-Python work, so threads only
-contend for the interpreter lock.  On a 2-core host, ``kummer census 2 3
-4 --d-max 5000 --out FILE`` took 1.3 s serially against 4.3 s on a pool
-of two threads (medians of three runs each).  The KUMMER_THREADS
-environment variable is no longer read.
+contend for the interpreter lock.
 """
 
 from __future__ import annotations
@@ -128,7 +125,6 @@ def suite_divisibility(coord_bound: int = 3) -> SuiteResult:
             f"n={n} coord_bound={coord_bound}: {len(mismatches)} mismatch(es)"
         )
         for coords, ideal, formula in mismatches[:20]:
-            ok = False
             lines.append(f"  MISMATCH {coords}: ideal={ideal} formula={formula}")
         ok = ok and not mismatches
     return SuiteResult("divisibility", ok, tuple(lines))
@@ -141,7 +137,6 @@ def suite_connectedness(d_max: int = 500) -> SuiteResult:
         violations = connectedness_report(n, d_max)
         lines.append(f"n={n} d<={d_max}: {len(violations)} violation(s)")
         for n_, d, t, count in violations[:20]:
-            ok = False
             lines.append(f"  VIOLATION (n={n_}, d={d}, t={t}) components={count}")
         ok = ok and not violations
     return SuiteResult("connectedness", ok, tuple(lines))
@@ -156,7 +151,6 @@ def suite_nonemptiness(
         violations = nonemptiness_crosscheck(n, d_max, bounds)
         lines.append(f"n={n} d<={d_max}: {len(violations)} violation(s)")
         for triple in violations:
-            ok = False
             lines.append(f"  NO CLASS FOUND for (n,d,t)={triple}")
         ok = ok and not violations
     return SuiteResult("nonemptiness", ok, tuple(lines))

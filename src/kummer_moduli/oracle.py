@@ -29,17 +29,12 @@ def enumerate_primitive_classes(
     """All primitive split classes of square 2d and divisibility t in the box.
 
     The square equation pins d_hat = (d + (n+1)b^2) / a^2 for a >= 1, so
-    the scan is over (a, b) only; the degenerate a=0 classes (pure
-    multiples of delta) are included when they hit the target square.
+    the scan is over (a, b) only.  The a = 0 classes are +-delta, of square
+    -(2n+2) < 0, so they never hit the target square 2d >= 2.
     """
     if n < 2 or d < 1 or t < 1:
         raise ValueError(f"need n >= 2, d >= 1, t >= 1, got ({n}, {d}, {t})")
     found: list[SplitClass] = []
-    for b in (-1, 1):  # a=0 forces b=+-1 by primitivity
-        if bounds.max_b >= 1:
-            c = SplitClass(n, 0, b, 0)
-            if square_split(c) == 2 * d and divisibility_split(c) == t:
-                found.append(c)
     for a in range(1, bounds.max_a + 1):
         for b in range(-bounds.max_b, bounds.max_b + 1):
             if gcd(a, b) != 1:

@@ -16,8 +16,9 @@ from kummer_moduli.bpf import (
     exceptional_set,
     very_ample_bound,
 )
+from kummer_moduli.lattice import SplitClass
 from kummer_moduli.moduli import component_count, triples
-from kummer_moduli.witness import WitnessShape, build_witness
+from kummer_moduli.witness import Witness, WitnessShape, build_witness
 
 
 def test_very_ample_bound_examples():
@@ -55,6 +56,9 @@ def test_certify_decomposition_requires_negative_delta_coefficient():
     for c_delta in (0, 1):
         with pytest.raises(ValueError):
             certify_decomposition(2, replace(w, shape=WitnessShape(w.shape.c_L, c_delta)))
+    for d_hat in (0, -1):
+        with pytest.raises(ValueError):
+            certify_decomposition(2, replace(w, d_hat=d_hat))
 
 
 def test_certify_decomposition_examples():
@@ -66,6 +70,81 @@ def test_certify_decomposition_examples():
     assert {p.k: p.f_value for p in cert.pieces} == {4: 16, 2: 4}
 
     assert certify_decomposition(4, build_witness(4, 55, 10)) is None
+
+
+def _partitions_desc(total, parts, max_part):
+    # every descending tuple of `parts` parts >= 2 summing to `total`, in
+    # descending lexicographic order
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for k in range(min(total, max_part), 1, -1):
+        for rest in _partitions_desc(total - k, parts - 1, k):
+            yield (k, *rest)
+
+
+def _first_qualifying_partition(n, w):
+    """The certificate of the first partition whose every part clears n."""
+    for partition in _partitions_desc(w.shape.c_L, -w.shape.c_delta, w.shape.c_L):
+        if all(very_ample_bound(k, w.d_hat) >= n for k in partition):
+            if len(partition) == 1:
+                m = partition[0]
+                return Certificate(
+                    kind="DirectVeryAmple",
+                    m=m,
+                    d_hat=w.d_hat,
+                    f_value=very_ample_bound(m, w.d_hat),
+                )
+            pieces = tuple(
+                Piece(k, partition.count(k), very_ample_bound(k, w.d_hat))
+                for k in sorted(set(partition), reverse=True)
+            )
+            return Certificate(kind="Decomposition", d_hat=w.d_hat, pieces=pieces)
+    return None
+
+
+def _witness(n, c_L, c_delta, d_hat):
+    return Witness(WitnessShape(c_L, c_delta), d_hat, SplitClass(n, c_L, c_delta, d_hat))
+
+
+@given(
+    st.integers(2, 40), st.integers(1, 30), st.integers(-8, -1), st.integers(1, 40)
+)
+def test_certify_decomposition_matches_partition_search(n, c_L, c_delta, d_hat):
+    w = _witness(n, c_L, c_delta, d_hat)
+    assert certify_decomposition(n, w) == _first_qualifying_partition(n, w)
+
+
+def test_certify_decomposition_at_the_smallest_qualifying_part():
+    # k0: the smallest part whose piece clears n, found by counting up;
+    # c_L puts the largest part at k0 - 1, k0 (all parts equal) or k0 + 1
+    for n in range(2, 7):
+        for d_hat in range(1, 7):
+            k0 = next(k for k in range(2, n + 3) if very_ample_bound(k, d_hat) >= n)
+            for p in range(1, 6):
+                for top in (k0 - 1, k0, k0 + 1):
+                    w = _witness(n, (p - 1) * k0 + top, -p, d_hat)
+                    cert = certify_decomposition(n, w)
+                    assert cert == _first_qualifying_partition(n, w)
+                    if top < k0:
+                        assert cert is None
+                    elif p == 1:
+                        assert (cert.kind, cert.m) == ("DirectVeryAmple", top)
+                    elif top == k0:
+                        assert [(q.k, q.multiplicity) for q in cert.pieces] == [(k0, p)]
+
+
+def test_certify_decomposition_on_census_witnesses():
+    for n, d, t in triples((2, 3, 4), 500):
+        if t == 1 or component_count(n, d, t).count == 0:
+            continue
+        w = build_witness(n, d, t)
+        if w is None:
+            continue
+        cert = certify_decomposition(n, w)
+        assert cert == _first_qualifying_partition(n, w)
+        assert cert is None or certificate_is_valid(n, d, t, cert)
 
 
 def test_exceptional_set_contents():

@@ -2,15 +2,21 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 CMD = [sys.executable, "-m", "kummer_moduli"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(*args, **kwargs):
+    # the child finds the package from a source checkout, installed or not
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + path if path else SRC}
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, **kwargs
+        CMD + list(args), capture_output=True, text=True, env=env, **kwargs
     )
 
 
