@@ -87,20 +87,32 @@ def census_rows(n_set: Iterable[int], d_max: int) -> list[CensusRow]:
     return [build_row(*triple) for triple in triples(n_set, d_max)]
 
 
-def _cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def rows_to_csv(rows: Iterable[CensusRow]) -> str:
+    """The CSV table: a header line, then one line per row.
+
+    Booleans are written as ``true``/``false`` and ``None`` as an empty
+    cell; quoting is the ``csv`` module's.
+    """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_FIELDS)
-    for row in rows:
-        writer.writerow([_cell(getattr(row, name)) for name in _FIELDS])
+    writer.writerows(
+        (
+            r.n,
+            r.d,
+            r.t,
+            "true" if r.nonempty else "false",
+            r.components,
+            r.c_L,
+            r.c_delta,
+            r.d_hat,
+            r.verdict,
+            r.certificate,
+            "true" if r.in_A else "false",
+            "true" if r.discrepancy else "false",
+        )
+        for r in rows
+    )
     return buffer.getvalue()
 
 

@@ -27,7 +27,7 @@ from .census import (
     suite_nonemptiness,
     suite_witnesses,
 )
-from .moduli import component_count
+from .moduli import component_count, triples
 from .oracle import SearchBounds
 from .witness import build_witness
 
@@ -170,18 +170,24 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    rows = census_rows(args.n, args.d_max)
-    text = rows_to_json(rows) if args.format == "json" else rows_to_csv(rows)
+    # a rejected range raises here, before --out is created or truncated
+    next(triples(args.n, args.d_max), None)
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(_census_text(args))
         return 0
+    # the output path is opened before any row is built
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.write(_census_text(args))
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+def _census_text(args: argparse.Namespace) -> str:
+    rows = census_rows(args.n, args.d_max)
+    return rows_to_json(rows) if args.format == "json" else rows_to_csv(rows)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -76,24 +76,26 @@ def _check_params(n: int, d: int, t: int) -> None:
         raise ValueError(f"need t >= 1, got t={t}")
 
 
-def invariants(n: int, d: int, t: int) -> ModuliInvariants:
-    """Derived integers (d1, n1, g, w, g1, t1); requires t | gcd(2d, 2n+2)."""
+def _derive(n: int, d: int, t: int) -> tuple[int, int, int, int, int, int] | None:
+    """(d1, n1, g, w, g1, t1), or None when t does not divide gcd(2d, 2n+2)."""
     _check_params(n, d, t)
     big = gcd(2 * d, 2 * n + 2)
     if big % t != 0:
-        raise ValueError(
-            f"t={t} does not divide gcd(2d, 2n+2)={big}; the moduli space is empty"
-        )
+        return None
     g = big // t
     w = gcd(g, t)
-    return ModuliInvariants(
-        d1=2 * d // big,
-        n1=(2 * n + 2) // big,
-        g=g,
-        w=w,
-        g1=g // w,
-        t1=t // w,
-    )
+    return 2 * d // big, (2 * n + 2) // big, g, w, g // w, t // w
+
+
+def invariants(n: int, d: int, t: int) -> ModuliInvariants:
+    """Derived integers (d1, n1, g, w, g1, t1); requires t | gcd(2d, 2n+2)."""
+    derived = _derive(n, d, t)
+    if derived is None:
+        raise ValueError(
+            f"t={t} does not divide gcd(2d, 2n+2)={gcd(2 * d, 2 * n + 2)};"
+            " the moduli space is empty"
+        )
+    return ModuliInvariants(*derived)
 
 
 def _neg_ratio(d1: int, denom: int, modulus: int) -> int:
@@ -119,11 +121,10 @@ def component_count(n: int, d: int, t: int) -> CountResult:
     w^2 * g1 * t1 = gcd(2d, 2n+2) is even.  It is kept so that the chain
     mirrors the case split of the count theorem.
     """
-    _check_params(n, d, t)
-    if gcd(2 * d, 2 * n + 2) % t != 0:
+    derived = _derive(n, d, t)
+    if derived is None:
         return CountResult(0, "precondition-empty")
-    inv = invariants(n, d, t)
-    d1, n1, w, g1, t1 = inv.d1, inv.n1, inv.w, inv.g1, inv.t1
+    d1, n1, _, w, g1, t1 = derived
 
     above_2 = t > 2
     coprime_t1 = gcd(d1, t1) == 1

@@ -14,6 +14,7 @@ census records empirically rather than asserting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .lattice import (
@@ -54,6 +55,16 @@ def shape_catalog(n: int, t: int) -> list[WitnessShape]:
     Every emitted shape is primitive and has divisibility exactly t;
     returns [] when t does not divide 2n+2 (no shape can work).
     """
+    return list(_catalog(n, t))
+
+
+@lru_cache(maxsize=32)
+def _catalog(n: int, t: int) -> tuple[WitnessShape, ...]:
+    """The shapes of :func:`shape_catalog`, computed once per (n, t).
+
+    Only the 12 pairs with t | 2n+2 have shapes; the bound keeps calls
+    with other t from growing the cache.
+    """
     if n not in (2, 3, 4):
         raise ValueError(f"witness shapes are only cataloged for n in {{2,3,4}}, got {n}")
     if t < 2:
@@ -61,11 +72,11 @@ def shape_catalog(n: int, t: int) -> list[WitnessShape]:
     candidates = [(t, -1)]
     if (n, t) in _FALLBACK_SHAPES:
         candidates.append(_FALLBACK_SHAPES[(n, t)])
-    shapes = []
-    for c_l, c_d in candidates:
-        if gcd(c_l, 2 * (n + 1) * c_d) == t and gcd(c_l, c_d) == 1:
-            shapes.append(WitnessShape(c_l, c_d))
-    return shapes
+    return tuple(
+        WitnessShape(c_l, c_d)
+        for c_l, c_d in candidates
+        if gcd(c_l, 2 * (n + 1) * c_d) == t and gcd(c_l, c_d) == 1
+    )
 
 
 def build_witness(n: int, d: int, t: int) -> Witness | None:
@@ -74,7 +85,7 @@ def build_witness(n: int, d: int, t: int) -> Witness | None:
         raise ValueError(
             f"cannot build a witness for the empty moduli space (n={n}, d={d}, t={t})"
         )
-    for shape in shape_catalog(n, t):
+    for shape in _catalog(n, t):
         numerator = d + (n + 1) * shape.c_delta**2
         square = shape.c_L**2
         if numerator % square == 0 and numerator // square >= 1:

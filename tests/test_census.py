@@ -1,13 +1,17 @@
 """Census rows, serialization schemas, determinism, verification suites."""
 
+import csv
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kummer_moduli import bpf, census, moduli
 from kummer_moduli.census import (
     CSV_HEADER,
+    CensusRow,
     build_row,
     census_rows,
     rows_to_csv,
@@ -68,6 +72,67 @@ def test_csv_header_and_cells():
     assert text.endswith("\n")
 
 
+def _reference_csv(rows):
+    """The cell-by-cell writer that rows_to_csv replaced, kept as its oracle."""
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return str(value)
+
+    fields = CSV_HEADER.split(",")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(fields)
+    for row in rows:
+        writer.writerow([cell(getattr(row, name)) for name in fields])
+    return buffer.getvalue()
+
+
+_ints = st.integers(min_value=-(10**6), max_value=10**6)
+_maybe_ints = st.none() | _ints
+# strings that need quoting: separators, quotes and line breaks
+_texts = st.text(alphabet=st.sampled_from('ab ,"\n\r'), max_size=8)
+
+census_row_values = st.builds(
+    CensusRow,
+    n=_ints,
+    d=_ints,
+    t=_ints,
+    nonempty=st.booleans(),
+    components=_ints,
+    c_L=_maybe_ints,
+    c_delta=_maybe_ints,
+    d_hat=_maybe_ints,
+    verdict=_texts,
+    certificate=st.none() | _texts,
+    in_A=st.booleans(),
+    discrepancy=st.booleans(),
+)
+
+
+@given(st.lists(census_row_values, max_size=5))
+def test_csv_matches_the_reference_writer(rows):
+    assert rows_to_csv(rows) == _reference_csv(rows)
+
+
+def test_csv_reference_on_quoted_cells():
+    row = CensusRow(2, -7, 3, False, -1, None, -2, None, 'a,"b"\nc', '"', True, False)
+    text = rows_to_csv([row])
+    assert text == _reference_csv([row])
+    assert text.splitlines()[1] == '2,-7,3,false,-1,,-2,,"a,""b""'
+    assert next(csv.reader(io.StringIO(text.split("\n", 1)[1]))) == [
+        "2", "-7", "3", "false", "-1", "", "-2", "", 'a,"b"\nc', '"', "true", "false"
+    ]
+
+
+def test_census_csv_pinned_at_5000():
+    text = rows_to_csv(census_rows([2, 3, 4], 5000))
+    assert hashlib.md5(text.encode()).hexdigest() == "3f55375e05e52ed6c89c1246d0b08fa1"
+
+
 def test_json_schema():
     rows = census_rows([2], 1)
     payload = json.loads(rows_to_json(rows))
@@ -98,7 +163,6 @@ def test_census_per_row_call_budget(monkeypatch):
     traced benchmark reads those spans under each build_row span, and the
     worker_count span under census_rows.
     """
-    monkeypatch.delenv("KUMMER_THREADS", raising=False)
     calls = {"component_count": 0, "decide": 0, "build_witness": 0, "worker_count": 0}
 
     def counting(name, fn):
@@ -123,7 +187,7 @@ def test_census_per_row_call_budget(monkeypatch):
     assert calls["worker_count"] == 1
 
 
-def test_census_deterministic_across_worker_counts():
+def test_census_csv_pinned():
     csv_text = rows_to_csv(census_rows([2, 3], 25))
     assert hashlib.md5(csv_text.encode()).hexdigest() == "c2cb258a9c41014a634690bf3cae94dd"
 

@@ -1,4 +1,4 @@
-"""End-to-end command-line checks through a real subprocess."""
+"""Command-line checks: end to end through a real subprocess, and in-process through cli.main."""
 
 import hashlib
 import json
@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from kummer_moduli import census, cli
 
 CMD = [sys.executable, "-m", "kummer_moduli"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -101,6 +103,50 @@ def test_census_unwritable_path_exit_2():
     proc = run("census", "2", "--d-max", "1", "--out", "/nonexistent/census.csv")
     assert proc.returncode == 2
     assert "error" in proc.stderr.lower()
+
+
+def _count_rows(monkeypatch):
+    built = []
+    build_row = census.build_row
+
+    def counting(*triple):
+        built.append(triple)
+        return build_row(*triple)
+
+    monkeypatch.setattr(census, "build_row", counting)
+    return built
+
+
+def test_census_unwritable_path_rejected_before_any_row(monkeypatch, capsys):
+    built = _count_rows(monkeypatch)
+    argv = ["census", "2", "3", "4", "--d-max", "20000", "--out", "/nonexistent/x.csv"]
+    assert cli.main(argv) == 2
+    assert built == []
+    out, err = capsys.readouterr()
+    assert out == "" and "cannot write /nonexistent/x.csv" in err
+
+
+def test_census_rejected_range_touches_no_file(monkeypatch, tmp_path, capsys):
+    built = _count_rows(monkeypatch)
+    missing = tmp_path / "missing.csv"
+    kept = tmp_path / "kept.csv"
+    kept.write_text("previous\n")
+    for n, d_max in (("5", "3"), ("2", "0")):
+        for out in (missing, kept):
+            assert cli.main(["census", n, "--d-max", d_max, "--out", str(out)]) == 2
+    assert built == []
+    assert not missing.exists()
+    assert kept.read_text() == "previous\n"
+    assert capsys.readouterr().out == ""
+
+
+def test_census_to_file_in_process(monkeypatch, tmp_path):
+    built = _count_rows(monkeypatch)
+    out = tmp_path / "census.csv"
+    out.write_text("stale contents that must be truncated\n" * 100)
+    assert cli.main(["census", "2", "--d-max", "2", "--out", str(out)]) == 0
+    assert len(built) == 8
+    assert out.read_text() == census.rows_to_csv(census.census_rows([2], 2))
 
 
 def test_census_unsupported_n_exit_2():

@@ -27,6 +27,30 @@ def test_shape_catalog_domain():
         shape_catalog(2, 1)
 
 
+def test_shape_catalog_returns_a_fresh_list():
+    first = shape_catalog(3, 8)
+    first.append(WitnessShape(1, -1))
+    first[0] = WitnessShape(9, -9)
+    assert shape_catalog(3, 8) == [WitnessShape(8, -1), WitnessShape(8, -3)]
+    assert shape_catalog(3, 8) is not shape_catalog(3, 8)
+    empty = shape_catalog(2, 5)
+    empty.append(WitnessShape(5, -1))
+    assert shape_catalog(2, 5) == []
+    # the domain errors hold on every call, not only the first
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            shape_catalog(5, 2)
+        with pytest.raises(ValueError):
+            shape_catalog(2, 1)
+
+
+def test_build_witness_keeps_the_catalog_domain():
+    with pytest.raises(ValueError):
+        build_witness(5, 4, 2)
+    with pytest.raises(ValueError):
+        build_witness(2, 1, 1)
+
+
 def test_catalog_shapes_have_claimed_divisibility():
     import math
 
