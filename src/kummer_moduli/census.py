@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 from .bpf import Certificate, certificate_is_valid, decide, exceptional_set
 from .moduli import component_count, connectedness_report, triples
-from .oracle import SearchBounds, divisibility_crosscheck, nonemptiness_crosscheck
+from .oracle import divisibility_crosscheck, nonemptiness_crosscheck
 from .witness import Witness, build_witness, verify_witness
 
 CSV_HEADER = "n,d,t,nonempty,components,c_L,c_delta,d_hat,verdict,certificate,in_A,discrepancy"
@@ -154,13 +154,11 @@ def suite_connectedness(d_max: int = 500) -> SuiteResult:
     return SuiteResult("connectedness", ok, tuple(lines))
 
 
-def suite_nonemptiness(
-    d_max: int = 100, bounds: SearchBounds | None = None
-) -> SuiteResult:
+def suite_nonemptiness(d_max: int = 100) -> SuiteResult:
     lines = []
     ok = True
     for n in (2, 3, 4):
-        violations = nonemptiness_crosscheck(n, d_max, bounds)
+        violations = nonemptiness_crosscheck(n, d_max)
         lines.append(f"n={n} d<={d_max}: {len(violations)} violation(s)")
         for triple in violations:
             lines.append(f"  NO CLASS FOUND for (n,d,t)={triple}")

@@ -4,7 +4,7 @@ Exit codes
 ----------
 0   success; for ``decide``, verdict GenericBPF
 1   a verification suite found violations
-2   invalid parameters, unknown suite, or unwritable output path
+2   invalid parameters, unknown suite, unwritable output path, closed stdout
 3   verdict Unknown (``decide``), or no witness shape certified (``witness``)
 4   verdict Empty / empty moduli space
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -28,7 +29,6 @@ from .census import (
     suite_witnesses,
 )
 from .moduli import component_count, triples
-from .oracle import SearchBounds
 from .witness import build_witness
 
 _SUITES = {
@@ -38,19 +38,6 @@ _SUITES = {
     "witnesses": suite_witnesses,
     "exceptional": suite_exceptional,
 }
-
-
-def _parse_bounds(text: str) -> SearchBounds:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            "--bounds expects three comma-separated integers: max_a,max_b,max_dhat_abs"
-        )
-    try:
-        a, b, dh = (int(p) for p in parts)
-        return SearchBounds(a, b, dh)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,22 +50,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_count = sub.add_parser("count", help="component count of the moduli space")
-    p_count.add_argument("n", type=int)
-    p_count.add_argument("d", type=int)
-    p_count.add_argument("t", type=int)
-
-    p_decide = sub.add_parser("decide", help="base-point-freeness verdict")
-    p_decide.add_argument("n", type=int)
-    p_decide.add_argument("d", type=int)
-    p_decide.add_argument("t", type=int)
-    p_decide.add_argument("--format", choices=("json",), default=None)
-
-    p_witness = sub.add_parser("witness", help="construct a split witness class")
-    p_witness.add_argument("n", type=int)
-    p_witness.add_argument("d", type=int)
-    p_witness.add_argument("t", type=int)
-    p_witness.add_argument("--format", choices=("json",), default=None)
+    for name, text in (
+        ("count", "component count of the moduli space"),
+        ("decide", "base-point-freeness verdict"),
+        ("witness", "construct a split witness class"),
+    ):
+        p_triple = sub.add_parser(name, help=text)
+        for arg in ("n", "d", "t"):
+            p_triple.add_argument(arg, type=int)
+        if name != "count":
+            p_triple.add_argument("--format", choices=("json",), default=None)
 
     p_census = sub.add_parser("census", help="emit the (n, d, t) census table")
     p_census.add_argument("n", type=int, nargs="+")
@@ -89,12 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=_SUITES)
     p_verify.add_argument("--d-max", type=int, default=None)
-    p_verify.add_argument(
-        "--bounds",
-        type=_parse_bounds,
-        default=None,
-        help="search bounds max_a,max_b,max_dhat_abs (nonemptiness suite only)",
-    )
 
     return parser
 
@@ -196,10 +171,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.suite == "divisibility":
             raise ValueError("--d-max does not apply to the divisibility suite")
         kwargs["d_max"] = args.d_max
-    if args.bounds is not None:
-        if args.suite != "nonemptiness":
-            raise ValueError("--bounds applies to the nonemptiness suite only")
-        kwargs["bounds"] = args.bounds
     result = _SUITES[args.suite](**kwargs)
     for line in result.lines:
         print(line)
@@ -218,9 +189,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader has gone; stdout goes to devnull so the final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -118,21 +118,18 @@ def default_bounds(n: int, d: int, t: int) -> SearchBounds:
     )
 
 
-def nonemptiness_crosscheck(
-    n: int, d_max: int, bounds: SearchBounds | None = None
-) -> list[tuple[int, int, int]]:
+def nonemptiness_crosscheck(n: int, d_max: int) -> list[tuple[int, int, int]]:
     """Triples the count theorem calls non-empty but the search cannot hit.
 
     Scans the triples of :func:`moduli.triples` for this n, so n must be
     in {2, 3, 4} and d_max >= 1.  One-directional: theorem-non-empty must
-    imply a lattice class exists.  Bounds default to :func:`default_bounds`
-    per triple.  Returns violations (expected: none).
+    imply a lattice class exists in the box of :func:`default_bounds`.
+    Returns violations (expected: none).
     """
     violations = []
     for _, d, t in triples((n,), d_max):
         if component_count(n, d, t).count == 0:
             continue
-        box = bounds if bounds is not None else default_bounds(n, d, t)
-        if not enumerate_primitive_classes(n, d, t, box):
+        if not enumerate_primitive_classes(n, d, t, default_bounds(n, d, t)):
             violations.append((n, d, t))
     return violations

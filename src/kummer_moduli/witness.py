@@ -68,7 +68,9 @@ def _catalog(n: int, t: int) -> tuple[WitnessShape, ...]:
     if n not in (2, 3, 4):
         raise ValueError(f"witness shapes are only cataloged for n in {{2,3,4}}, got {n}")
     if t < 2:
-        raise ValueError(f"shape_catalog needs t >= 2, got {t}")
+        raise ValueError(
+            f"witness classes need t >= 2, got {t}; t = 1 is certified by DivisibilityOne"
+        )
     candidates = [(t, -1)]
     if (n, t) in _FALLBACK_SHAPES:
         candidates.append(_FALLBACK_SHAPES[(n, t)])

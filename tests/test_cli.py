@@ -7,7 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from kummer_moduli import census, cli
+from kummer_moduli import census, cli, oracle
+from kummer_moduli.oracle import SearchBounds
 
 CMD = [sys.executable, "-m", "kummer_moduli"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -17,8 +18,9 @@ def run(*args, **kwargs):
     # the child finds the package from a source checkout, installed or not
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + path if path else SRC}
+    kwargs.setdefault("stdout", subprocess.PIPE)
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, env=env, **kwargs
+        CMD + list(args), stderr=subprocess.PIPE, text=True, env=env, **kwargs
     )
 
 
@@ -79,6 +81,15 @@ def test_witness_command():
     assert payload == {"c_L": 8, "c_delta": -3, "d_hat": 1}
 
     assert run("witness", "2", "3", "3").returncode == 4
+
+
+def test_witness_with_divisibility_one_exit_2():
+    proc = run("witness", "2", "5", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "witness classes need t >= 2" in proc.stderr
+    assert "DivisibilityOne" in proc.stderr
+    assert "shape_catalog" not in proc.stderr
 
 
 def test_census_csv_stdout():
@@ -177,8 +188,13 @@ def test_verify_passing_suites():
     proc = run("verify", "nonemptiness", "--d-max", "40")
     assert proc.returncode == 0
 
-    proc = run("verify", "nonemptiness", "--d-max", "20", "--bounds", "1,1,1")
-    assert proc.returncode == 1
+
+def test_verify_nonemptiness_fails_on_a_starved_box(monkeypatch, capsys):
+    # a box too small for genuinely non-empty triples must turn the suite red
+    monkeypatch.setattr(oracle, "default_bounds", lambda n, d, t: SearchBounds(1, 1, 1))
+    assert cli.main(["verify", "nonemptiness", "--d-max", "20"]) == 1
+    out = capsys.readouterr().out
+    assert "NO CLASS FOUND" in out and out.endswith("nonemptiness: FAIL\n")
 
 
 def test_verify_unknown_suite_exit_2():
@@ -189,7 +205,8 @@ def test_verify_rejects_flags_the_suite_ignores():
     proc = run("verify", "divisibility", "--d-max", "10")
     assert proc.returncode == 2
     assert "--d-max" in proc.stderr and proc.stdout == ""
-    for suite in ("connectedness", "witnesses"):
+    # --bounds is an option of no suite: the nonemptiness box is always the oracle's
+    for suite in ("connectedness", "witnesses", "nonemptiness"):
         proc = run("verify", suite, "--d-max", "10", "--bounds", "1,1,1")
         assert proc.returncode == 2
         assert "--bounds" in proc.stderr and proc.stdout == ""
@@ -212,3 +229,60 @@ def test_verify_exceptional_matches_library():
     assert (proc.returncode == 0) == result.passed
     for line in result.lines:
         assert line in proc.stdout
+
+
+_VIOLATIONS = "n={n} d<={d}: 0 violation(s)\n"
+
+VERIFY_TEXTS = {
+    ("divisibility",): (
+        0,
+        "n=2 coord_bound=3: 0 mismatch(es)\n"
+        "n=3 coord_bound=3: 0 mismatch(es)\n"
+        "n=4 coord_bound=3: 0 mismatch(es)\n"
+        "divisibility: PASS\n",
+    ),
+    ("connectedness", "--d-max", "200"): (
+        0,
+        "".join(_VIOLATIONS.format(n=n, d=200) for n in (2, 3, 4))
+        + "connectedness: PASS\n",
+    ),
+    ("nonemptiness", "--d-max", "40"): (
+        0,
+        "".join(_VIOLATIONS.format(n=n, d=40) for n in (2, 3, 4))
+        + "nonemptiness: PASS\n",
+    ),
+    ("witnesses", "--d-max", "200"): (
+        0,
+        "checked 215 non-empty triples with t >= 2, d <= 200\nwitnesses: PASS\n",
+    ),
+    ("exceptional", "--d-max", "200"): (
+        1,
+        "census n in {2,3,4}, d <= 200\n"
+        "unknown triples: [(2, 1, 2), (3, 4, 2), (3, 28, 8), (3, 92, 8), (4, 3, 2),"
+        " (4, 5, 5), (4, 30, 5), (4, 55, 10)]\n"
+        "expected exclusions in range: [(2, 1, 2), (3, 4, 2), (3, 28, 8), (3, 92, 8),"
+        " (4, 3, 2), (4, 20, 5), (4, 55, 10)]\n"
+        "  DISCREPANCY (4, 20, 5): excluded but certified (reported, permitted)\n"
+        "  VIOLATION (4, 5, 5): Unknown but not in the excluded set\n"
+        "  VIOLATION (4, 30, 5): Unknown but not in the excluded set\n"
+        "exceptional: FAIL\n",
+    ),
+}
+
+
+def test_verify_texts_pinned(capsys):
+    for argv, expected in VERIFY_TEXTS.items():
+        code = cli.main(["verify", *argv])
+        assert (code, capsys.readouterr().out) == expected, argv
+
+
+def test_closed_stdout_is_not_a_failed_check():
+    for args in (("verify", "connectedness", "--d-max", "50"), ("census", "2", "--d-max", "3")):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run(*args, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, args
+        assert "Traceback" not in proc.stderr, args

@@ -94,11 +94,10 @@ def test_nonemptiness_crosscheck_small():
     assert nonemptiness_crosscheck(2, 50) == []
 
 
-def test_nonemptiness_crosscheck_accepts_bounds_override():
+def test_nonemptiness_crosscheck_fails_on_a_starved_box(monkeypatch):
     # a deliberately starved box misses genuinely non-empty triples
-    starved = SearchBounds(1, 1, 1)
-    violations = nonemptiness_crosscheck(2, 30, starved)
-    assert (2, 5, 2) in violations
+    monkeypatch.setattr(oracle, "default_bounds", lambda n, d, t: SearchBounds(1, 1, 1))
+    assert (2, 5, 2) in nonemptiness_crosscheck(2, 30)
 
 
 coords = st.tuples(*[st.integers(-40, 40)] * 7).filter(lambda v: any(v))
