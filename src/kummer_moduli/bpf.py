@@ -148,11 +148,12 @@ def certificate_is_valid(n: int, d: int, t: int, cert: Certificate) -> bool:
     """Re-verify a certificate from scratch; used by the census round-trip.
 
     A certificate checked against a triple it cannot certify (an empty
-    moduli space, a decomposition for t = 1, n outside {2, 3, 4}) is
-    invalid: the answer is False, not an error.
+    moduli space, a decomposition for t = 1, n outside {2, 3, 4}, or
+    parameters outside n >= 2, d >= 1, t >= 1) is invalid: the answer is
+    False, not an error.
     """
     if cert.kind == "DivisibilityOne":
-        return t == 1 and component_count(n, d, t).count > 0
+        return t == 1 and n >= 2 and d >= 1 and component_count(n, d, t).count > 0
     if cert.kind == "DirectVeryAmple":
         pieces = None if cert.m is None else (Piece(cert.m, 1, cert.f_value),)
     elif cert.kind == "Decomposition":

@@ -26,6 +26,18 @@ produces two-component verdicts inside the connectedness range (e.g.
 n=3, d=12, t=4), which the corollary scan rejects.  For t <= 2 a matching
 case always yields a single component.
 
+The chain reads d1 only through gcd(d1, t1), d1 mod 2 and the three
+residues (-d1/n1 mod t1, -d1/n1 mod 2*t1, -d1/(4*n1) mod t1); t1 and 2
+both divide 2*t1, so each of these is a function of d1 mod 2*t1.  The
+key (n1, w, g1, t1, d1 mod 2*t1, t > 2) therefore determines the
+result exactly, with no periodicity sampled.  For a fixed n there are
+finitely many keys (n1, w, g1 and t1 come from divisors of 2n+2, and
+d1 mod 2*t1 < 2*t1); n in {2, 3, 4} has 105 of them, all reached by
+d <= 100.  So :func:`component_count` keeps their results in a
+module-level table and runs the chain once per key.  Larger n goes to
+the chain directly: across many n the keys hardly repeat, and a table
+would grow with every query.
+
 :func:`triples` is the (n, d, t) grid that the census and the
 verification scans walk.
 """
@@ -65,6 +77,12 @@ class ModuliInvariants:
 class CountResult:
     count: int
     case_tag: str
+
+
+# the results that carry no per-triple data, shared by every call
+_PRECONDITION_EMPTY = CountResult(0, "precondition-empty")
+_FOUR_EMPTY = CountResult(0, "4-empty")
+_ONE_COMPONENT = tuple(CountResult(1, tag) for tag in _TAGS_T_UP_TO_2)
 
 
 def _check_params(n: int, d: int, t: int) -> None:
@@ -114,19 +132,15 @@ def _halved_power_count(w: int, t1: int, l: int) -> int:
     return doubled // 2
 
 
-def component_count(n: int, d: int, t: int) -> CountResult:
-    """Number of components of the moduli space, with the matching case tag.
+def _count_chain(
+    n1: int, w: int, g1: int, t1: int, d1: int, above_2: bool
+) -> CountResult:
+    """The case chain a, b, c, d on the derived integers.
 
     Case c can never match: it needs w, g1 and t1 all odd, but
     w^2 * g1 * t1 = gcd(2d, 2n+2) is even.  It is kept so that the chain
     mirrors the case split of the count theorem.
     """
-    derived = _derive(n, d, t)
-    if derived is None:
-        return CountResult(0, "precondition-empty")
-    d1, n1, _, w, g1, t1 = derived
-
-    above_2 = t > 2
     coprime_t1 = gcd(d1, t1) == 1
     # hypotheses shared by cases b, c and d
     coprime_odd_g1 = g1 % 2 == 1 and coprime_t1 and gcd(n1, 2 * t1) == 1
@@ -161,12 +175,36 @@ def component_count(n: int, d: int, t: int) -> CountResult:
     ):
         case = 3
     else:
-        return CountResult(0, "4-empty")
+        return _FOUR_EMPTY
 
     if not above_2:
-        return CountResult(1, _TAGS_T_UP_TO_2[case])
+        return _ONE_COMPONENT[case]
     l = t1 // 2 if case == 3 else t1
     return CountResult(_halved_power_count(w, t1, l), _TAGS_T_ABOVE_2[case])
+
+
+# results of _count_chain for n in {2, 3, 4}, by (n1, w, g1, t1, d1 mod 2*t1, t > 2)
+_COUNT_TABLE: dict[tuple[int, int, int, int, int, bool], CountResult] = {}
+
+
+def component_count(n: int, d: int, t: int) -> CountResult:
+    """Number of components of the moduli space, with the matching case tag.
+
+    For n in {2, 3, 4} the result is read from a table keyed by the
+    reduction of d1 mod 2*t1 (see the module docstring for why the key
+    is exact); the returned CountResult may be shared between calls.
+    """
+    derived = _derive(n, d, t)
+    if derived is None:
+        return _PRECONDITION_EMPTY
+    d1, n1, _, w, g1, t1 = derived
+    if n > 4:
+        return _count_chain(n1, w, g1, t1, d1, t > 2)
+    key = (n1, w, g1, t1, d1 % (2 * t1), t > 2)
+    result = _COUNT_TABLE.get(key)
+    if result is None:
+        result = _COUNT_TABLE[key] = _count_chain(*key)
+    return result
 
 
 def is_nonempty(n: int, d: int, t: int) -> bool:

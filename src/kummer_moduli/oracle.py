@@ -8,7 +8,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .lattice import SplitClass, divisibility_split, gram_matrix, square_split
+from .lattice import SplitClass, divisibility_split, gram_matrix
 from .moduli import component_count, triples
 
 
@@ -30,7 +30,11 @@ def enumerate_primitive_classes(
 
     The square equation pins d_hat = (d + (n+1)b^2) / a^2 for a >= 1, so
     the scan is over (a, b) only.  The a = 0 classes are +-delta, of square
-    -(2n+2) < 0, so they never hit the target square 2d >= 2.
+    -(2n+2) < 0, so they never hit the target square 2d >= 2.  d_hat is
+    solved from the square equation by exact division, so every class
+    found has square 2*a^2*d_hat - (2n+2)*b^2 = 2d and only its
+    divisibility is left to test.  The max_dhat_abs cap never binds
+    under :func:`default_bounds`; it is there for hand-made boxes.
     """
     if n < 2 or d < 1 or t < 1:
         raise ValueError(f"need n >= 2, d >= 1, t >= 1, got ({n}, {d}, {t})")
@@ -46,7 +50,7 @@ def enumerate_primitive_classes(
             if abs(d_hat) > bounds.max_dhat_abs:
                 continue
             c = SplitClass(n, a, b, d_hat)
-            if square_split(c) == 2 * d and divisibility_split(c) == t:
+            if divisibility_split(c) == t:
                 found.append(c)
     return found
 

@@ -237,6 +237,13 @@ def test_certificate_rejects_wrong_triple():
     assert not certificate_is_valid(2, 3, 3, cert)  # empty space
 
 
+@pytest.mark.parametrize("n, d, t", [(1, 4, 1), (2, 0, 1), (2, 4, 0)])
+def test_certificate_outside_the_parameter_range_is_false(n, d, t):
+    for triple in ((6, 4, 1), (2, 5, 2), (3, 156, 8)):  # the three kinds
+        cert = decide(*triple).certificate
+        assert certificate_is_valid(n, d, t, cert) is False, cert.kind
+
+
 def test_verdicts_pinned():
     text = "".join(
         f"{n},{d},{t},{decide(n, d, t)!r}\n" for n, d, t in triples((2, 3, 4), 500)

@@ -5,7 +5,8 @@ renamed or deleted function leaves its counters at 0 (or makes a ratio
 divide by zero) instead of failing, so this checks every
 ``<module>.<function>.<suffix>`` metric name of BENCHMARK.json against the
 package.  The README's command table is checked against the parser the
-same way, flag by flag.
+same way, flag by flag, and every README example with an output comment
+is run and compared with its comment.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import importlib
 import inspect
 import json
 import re
+import shlex
 from pathlib import Path
 
 from kummer_moduli import cli
@@ -70,3 +72,39 @@ def _readme_flags() -> dict[str, set[str]]:
 
 def test_readme_flag_table_matches_the_parser():
     assert _readme_flags() == _parser_flags()
+
+
+def _readme_examples(lang: str) -> list[tuple[str, str]]:
+    # "<code>  # <comment>" lines of the README's ```lang blocks
+    blocks = re.findall(rf"^```{lang}\n(.*?)^```$", README.read_text(), re.M | re.S)
+    return [
+        (m[1], m[2] or "")
+        for block in blocks
+        for m in re.finditer(r"^(\S.*?)(?:\s{2,}# (.*))?$", block, re.M)
+    ]
+
+
+def test_readme_library_examples_print_their_comments():
+    namespace: dict = {}
+    checked = []
+    for code, comment in _readme_examples("python"):
+        if not comment:
+            exec(code, namespace)
+            continue
+        shown = repr(eval(code, namespace))
+        # the repr, optionally followed by a note in parentheses
+        assert comment == shown or comment.startswith(shown + "  ("), code
+        checked.append(code)
+    assert "component_count(2, 6, 3)" in checked
+
+
+def test_readme_cli_examples_print_their_comments(capsys):
+    checked = []
+    for code, comment in _readme_examples("sh"):
+        if not (code.startswith("kummer ") and comment):
+            continue
+        expected, exit_code = re.fullmatch(r"(.*?)(?:\s+\(exit (\d+)\))?", comment).groups()
+        assert cli.main(shlex.split(code)[1:]) == int(exit_code or 0), code
+        assert capsys.readouterr().out == expected + "\n", code
+        checked.append(code)
+    assert checked == ["kummer count 2 6 3", "kummer decide 2 1 2", "kummer witness 3 28 8"]

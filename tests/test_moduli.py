@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kummer_moduli import moduli
 from kummer_moduli.moduli import (
     EMPTY_TAGS,
     CountResult,
@@ -160,3 +161,54 @@ def test_case_c_never_matches(n, d, data):
     assert inv.w * inv.w * inv.g1 * inv.t1 == big
     assert not (inv.w % 2 == inv.g1 % 2 == inv.t1 % 2 == 1)
     assert component_count(n, d, t).case_tag not in ("1c", "3c")
+
+
+@pytest.fixture
+def cold_table():
+    moduli._COUNT_TABLE.clear()
+    return moduli._COUNT_TABLE
+
+
+def _chain_on_unreduced_d1(n, d, t):
+    derived = moduli._derive(n, d, t)
+    if derived is None:
+        return CountResult(0, "precondition-empty")
+    d1, n1, _, w, g1, t1 = derived
+    return moduli._count_chain(n1, w, g1, t1, d1, t > 2)
+
+
+def test_count_table_matches_the_chain_on_unreduced_d1(cold_table):
+    for n, d, t in triples((2, 3, 4), 400):
+        assert component_count(n, d, t) == _chain_on_unreduced_d1(n, d, t)
+    assert 0 < len(cold_table) <= 105
+
+
+@given(st.sampled_from([2, 3, 4]), st.integers(1, 10**9), st.data())
+def test_count_table_exact_for_large_d(n, d, data):
+    t = data.draw(st.sampled_from([k for k in range(1, 2 * n + 3) if (2 * n + 2) % k == 0]))
+    assert component_count(n, d, t) == _chain_on_unreduced_d1(n, d, t)
+
+
+def test_count_table_runs_the_chain_once_per_key(cold_table, monkeypatch):
+    calls = []
+    chain = moduli._count_chain
+
+    def counting_chain(*key):
+        calls.append(key)
+        return chain(*key)
+
+    monkeypatch.setattr(moduli, "_count_chain", counting_chain)
+    for n, d, t in triples((2, 3, 4), 2000):
+        component_count(n, d, t)
+    assert len(calls) == len(set(calls)) == len(cold_table) <= 105
+
+
+def test_count_table_ignores_larger_n(cold_table):
+    for n, d, t in triples((2, 3, 4), 100):
+        component_count(n, d, t)
+    size = len(cold_table)
+    for n in range(5, 61):
+        for d in range(1, 41):
+            for t in range(1, 2 * n + 3):
+                component_count(n, d, t)
+    assert len(cold_table) == size

@@ -1,5 +1,6 @@
 """Brute-force oracle: enumeration boxes and closed-form crosschecks."""
 
+import hashlib
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from kummer_moduli import oracle
 from kummer_moduli.lattice import KummerLattice, SplitClass, divisibility_vector
+from kummer_moduli.moduli import triples
 from kummer_moduli.oracle import (
     SearchBounds,
     default_bounds,
@@ -32,6 +34,14 @@ def test_enumerate_results_are_consistent():
         assert square_split(c) == 56
         assert divisibility_split(c) == 8
         assert math.gcd(c.a, c.b) == 1
+
+
+def test_enumerate_pinned_under_default_bounds():
+    text = "".join(
+        f"{n},{d},{t},{enumerate_primitive_classes(n, d, t, default_bounds(n, d, t))!r}\n"
+        for n, d, t in triples((2, 3, 4), 60)
+    )
+    assert hashlib.md5(text.encode()).hexdigest() == "86b901ce34f3981574a160c83f19b096"
 
 
 def test_enumerate_domain():
