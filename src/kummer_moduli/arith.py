@@ -1,13 +1,22 @@
-"""Elementary number theory for the component-count case engine."""
+"""Elementary number theory for the component-count case engine.
+
+Two functions: the prime factorization behind the multiplicative
+component count, and the exhaustive quadratic-residue scan that the case
+chain uses as its reference test.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
 
+def factorize(l: int) -> dict[int, int]:
+    """Prime factorization {p: exponent} of l >= 1; factorize(1) == {}.
 
-def _factorize(l: int) -> dict[int, int]:
-    # trial division; every argument in this package is desk-scale
+    Trial division by 2 and the odd numbers up to sqrt(l), so the cost is
+    O(sqrt(l)).  The count engine calls it with divisors of t, and t
+    divides 2n+2, so it never divides by more than sqrt(2n+2).
+    """
+    if l < 1:
+        raise ValueError(f"factorize needs l >= 1, got {l}")
     factors: dict[int, int] = {}
     x = l
     p = 2
@@ -19,53 +28,6 @@ def _factorize(l: int) -> dict[int, int]:
     if x > 1:
         factors[x] = factors.get(x, 0) + 1
     return factors
-
-
-def euler_phi(l: int) -> int:
-    """Number of k in [1, l] coprime to l; phi(1) = 1."""
-    if l < 1:
-        raise ValueError(f"euler_phi needs l >= 1, got {l}")
-    result = l
-    for p in _factorize(l):
-        result -= result // p
-    return result
-
-
-def distinct_prime_count(l: int) -> int:
-    """rho(l) = number of distinct primes dividing l; rho(1) = 0."""
-    if l < 1:
-        raise ValueError(f"distinct_prime_count needs l >= 1, got {l}")
-    return len(_factorize(l))
-
-
-@dataclass(frozen=True)
-class WSplit:
-    w_plus: int
-    w_minus: int
-
-
-def split_w(w: int, t1: int) -> WSplit:
-    """Split w = w_plus * w_minus by whether a prime of w divides t1.
-
-    w_plus carries every prime power of w whose prime divides t1;
-    w_minus carries the rest, so no prime of w_minus divides t1.
-    """
-    if w < 1 or t1 < 1:
-        raise ValueError(f"split_w needs w, t1 >= 1, got w={w}, t1={t1}")
-    w_plus = 1
-    for p, e in _factorize(w).items():
-        if t1 % p == 0:
-            w_plus *= p**e
-    return WSplit(w_plus, w // w_plus)
-
-
-def mod_inverse(b: int, m: int) -> int:
-    """x in [0, m) with b*x = 1 mod m; 0 for m=1. Requires gcd(b,m)=1."""
-    if m < 1:
-        raise ValueError(f"mod_inverse needs m >= 1, got {m}")
-    if gcd(b, m) != 1:
-        raise ValueError(f"{b} is not invertible mod {m}")
-    return pow(b, -1, m) if m > 1 else 0
 
 
 def is_quadratic_residue(a: int, m: int) -> bool:

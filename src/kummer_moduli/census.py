@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .bpf import Certificate, certificate_is_valid, decide, exceptional_set
+from .bpf import Certificate, decide, exceptional_set
 from .moduli import component_count, connectedness_report, triples
 from .oracle import divisibility_crosscheck, nonemptiness_crosscheck
 from .witness import Witness, build_witness, verify_witness
@@ -211,14 +211,3 @@ def suite_exceptional(d_max: int = 500) -> SuiteResult:
     for triple in missing:
         lines.append(f"  VIOLATION {triple}: excluded but neither Unknown nor discrepant")
     return SuiteResult("exceptional", not extra and not missing, tuple(lines))
-
-
-def verify_certificates(rows: Iterable[CensusRow]) -> list[CensusRow]:
-    """Rows whose certificate fails re-verification (expected: none)."""
-    bad = []
-    for row in rows:
-        if row.certificate_detail is None:
-            continue
-        if not certificate_is_valid(row.n, row.d, row.t, row.certificate_detail):
-            bad.append(row)
-    return bad

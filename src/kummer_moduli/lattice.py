@@ -19,6 +19,7 @@ vector so the two views can be cross-checked.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -50,10 +51,6 @@ class KummerLattice:
             raise ValueError(f"lattice parameter n must be >= 2, got {self.n}")
 
     @property
-    def rank(self) -> int:
-        return RANK
-
-    @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
         return _gram_rows(self.n)
 
@@ -64,7 +61,11 @@ def gram_matrix(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _check_vector(v: Vector) -> tuple[int, ...]:
-    vt = tuple(int(x) for x in v)
+    # operator.index accepts Python and numpy integers and rejects 1.5 or "3"
+    try:
+        vt = tuple(map(operator.index, v))
+    except TypeError as exc:
+        raise ValueError(f"coordinates must be integers: {exc}") from None
     if len(vt) != RANK:
         raise ValueError(f"expected {RANK} coordinates, got {len(vt)}")
     return vt
@@ -93,14 +94,6 @@ def divisibility_vector(v: Vector, lat: KummerLattice) -> int:
     if not any(vt):
         raise ValueError("divisibility of the zero class is undefined")
     return gcd(*vt[:6], (2 * lat.n + 2) * vt[6])
-
-
-def is_primitive(v: Vector) -> bool:
-    """True iff v is not a non-trivial integer multiple of a lattice vector."""
-    vt = _check_vector(v)
-    if not any(vt):
-        raise ValueError("the zero vector is neither primitive nor imprimitive")
-    return gcd(*vt) == 1
 
 
 @dataclass(frozen=True)

@@ -48,13 +48,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
-from .arith import (
-    distinct_prime_count,
-    euler_phi,
-    is_quadratic_residue,
-    mod_inverse,
-    split_w,
-)
+from .arith import factorize, is_quadratic_residue
 
 EMPTY_TAGS = ("4-empty", "precondition-empty")
 
@@ -117,14 +111,25 @@ def invariants(n: int, d: int, t: int) -> ModuliInvariants:
 
 
 def _neg_ratio(d1: int, denom: int, modulus: int) -> int:
-    """(-d1 / denom) reduced mod modulus, via the modular inverse."""
-    return (-d1 * mod_inverse(denom, modulus)) % modulus if modulus > 1 else 0
+    """(-d1 / denom) reduced mod modulus; 0 for modulus 1.
+
+    Raises ValueError when denom is not a unit mod modulus.
+    """
+    return -d1 * pow(denom, -1, modulus) % modulus
 
 
 def _halved_power_count(w: int, t1: int, l: int) -> int:
-    """w_plus(t1) * phi(w_minus(t1)) * 2^(rho(l)-1), evaluated exactly."""
-    ws = split_w(w, t1)
-    doubled = ws.w_plus * euler_phi(ws.w_minus) * 2 ** distinct_prime_count(l)
+    """w_plus(t1) * phi(w_minus(t1)) * 2^(rho(l)-1), evaluated exactly.
+
+    w_plus(t1) is the part of w on the primes that divide t1 and w_minus
+    the rest, so w_plus * phi(w_minus) is w times (1 - 1/p) for each
+    prime p of w that does not divide t1; rho(l) counts the primes of l.
+    """
+    kept = w
+    for p in factorize(w):
+        if t1 % p != 0:
+            kept = kept // p * (p - 1)
+    doubled = kept * 2 ** len(factorize(l))
     if doubled % 2 != 0:
         raise ArithmeticError(
             f"non-integral component count for w={w}, t1={t1}, l={l}"

@@ -14,12 +14,13 @@ from .moduli import component_count, triples
 
 @dataclass(frozen=True)
 class SearchBounds:
+    """The box 1 <= a <= max_a, |b| <= max_b; the square fixes d_hat."""
+
     max_a: int
     max_b: int
-    max_dhat_abs: int
 
     def __post_init__(self) -> None:
-        if self.max_a < 1 or self.max_b < 0 or self.max_dhat_abs < 0:
+        if self.max_a < 1 or self.max_b < 0:
             raise ValueError(f"bounds out of range: {self}")
 
 
@@ -33,8 +34,8 @@ def enumerate_primitive_classes(
     -(2n+2) < 0, so they never hit the target square 2d >= 2.  d_hat is
     solved from the square equation by exact division, so every class
     found has square 2*a^2*d_hat - (2n+2)*b^2 = 2d and only its
-    divisibility is left to test.  The max_dhat_abs cap never binds
-    under :func:`default_bounds`; it is there for hand-made boxes.
+    divisibility is left to test.  d_hat >= d/a^2 > 0 for every class
+    found, so each one is a polarization pullback.
     """
     if n < 2 or d < 1 or t < 1:
         raise ValueError(f"need n >= 2, d >= 1, t >= 1, got ({n}, {d}, {t})")
@@ -46,10 +47,7 @@ def enumerate_primitive_classes(
             numerator = d + (n + 1) * b * b
             if numerator % (a * a) != 0:
                 continue
-            d_hat = numerator // (a * a)
-            if abs(d_hat) > bounds.max_dhat_abs:
-                continue
-            c = SplitClass(n, a, b, d_hat)
+            c = SplitClass(n, a, b, numerator // (a * a))
             if divisibility_split(c) == t:
                 found.append(c)
     return found
@@ -114,12 +112,7 @@ def _ceil_sqrt_ratio(d: int, parts: int) -> int:
 
 def default_bounds(n: int, d: int, t: int) -> SearchBounds:
     """Desk-scale bounds wide enough to rediscover every witness shape."""
-    max_b = _ceil_sqrt_ratio(d, n + 1) + 3
-    return SearchBounds(
-        max_a=2 * n + 2 + t,
-        max_b=max_b,
-        max_dhat_abs=d + (n + 1) * max_b * max_b,
-    )
+    return SearchBounds(max_a=2 * n + 2 + t, max_b=_ceil_sqrt_ratio(d, n + 1) + 3)
 
 
 def nonemptiness_crosscheck(n: int, d_max: int) -> list[tuple[int, int, int]]:

@@ -3,44 +3,27 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from kummer_moduli.arith import (
-    WSplit,
-    distinct_prime_count,
-    euler_phi,
-    is_quadratic_residue,
-    mod_inverse,
-    split_w,
-)
+from kummer_moduli.arith import factorize, is_quadratic_residue
 
 
-def test_euler_phi_examples():
-    assert euler_phi(1) == 1
-    assert euler_phi(6) == 2
-    assert euler_phi(12) == 4
-    assert euler_phi(97) == 96
+def test_factorize_examples():
+    assert factorize(1) == {}
+    assert factorize(12) == {2: 2, 3: 1}
+    assert factorize(97) == {97: 1}
+    assert factorize(2 * 3 * 5 * 7 * 7) == {2: 1, 3: 1, 5: 1, 7: 2}
     with pytest.raises(ValueError):
-        euler_phi(0)
+        factorize(0)
 
 
-def test_distinct_prime_count_examples():
-    assert distinct_prime_count(1) == 0
-    assert distinct_prime_count(3) == 1
-    assert distinct_prime_count(12) == 2
-    assert distinct_prime_count(30) == 3
+def _is_prime(p):
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
-def test_split_w_examples():
-    assert split_w(1, 3) == WSplit(1, 1)
-    assert split_w(12, 6) == WSplit(12, 1)
-    assert split_w(10, 4) == WSplit(2, 5)
-
-
-def test_mod_inverse_examples():
-    assert mod_inverse(3, 4) == 3
-    assert mod_inverse(1, 7) == 1
-    assert mod_inverse(5, 1) == 0
-    with pytest.raises(ValueError):
-        mod_inverse(2, 4)
+@given(st.integers(1, 10**5))
+def test_factorize_rebuilds_l(l):
+    factors = factorize(l)
+    assert math.prod(p**e for p, e in factors.items()) == l
+    assert all(_is_prime(p) and e >= 1 for p, e in factors.items())
 
 
 def test_quadratic_residue_examples():
@@ -49,49 +32,6 @@ def test_quadratic_residue_examples():
     assert is_quadratic_residue(1, 4)
     assert is_quadratic_residue(7, 1)
     assert is_quadratic_residue(7, 2)
-
-
-@given(st.integers(1, 3000))
-def test_phi_counts_coprime_residues(l):
-    assert euler_phi(l) == sum(1 for x in range(1, l + 1) if math.gcd(x, l) == 1)
-
-
-@given(st.integers(1, 500), st.integers(1, 500))
-def test_phi_multiplicative_on_coprimes(a, b):
-    if math.gcd(a, b) == 1:
-        assert euler_phi(a * b) == euler_phi(a) * euler_phi(b)
-
-
-@given(st.integers(1, 400), st.integers(2, 400))
-def test_mod_inverse_roundtrip(b, m):
-    if math.gcd(b, m) != 1:
-        with pytest.raises(ValueError):
-            mod_inverse(b, m)
-    else:
-        inv = mod_inverse(b, m)
-        assert 0 <= inv < m
-        assert (b * inv) % m == 1
-
-
-def _primes_of(x):
-    out = set()
-    p = 2
-    while p * p <= x:
-        while x % p == 0:
-            out.add(p)
-            x //= p
-        p += 1
-    if x > 1:
-        out.add(x)
-    return out
-
-
-@given(st.integers(1, 600), st.integers(1, 600))
-def test_split_w_reconstructs(w, t1):
-    parts = split_w(w, t1)
-    assert parts.w_plus * parts.w_minus == w
-    assert _primes_of(parts.w_plus) <= _primes_of(t1)
-    assert not (_primes_of(parts.w_minus) & _primes_of(t1))
 
 
 @given(st.integers(0, 500), st.integers(1, 100))

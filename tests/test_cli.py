@@ -191,7 +191,7 @@ def test_verify_passing_suites():
 
 def test_verify_nonemptiness_fails_on_a_starved_box(monkeypatch, capsys):
     # a box too small for genuinely non-empty triples must turn the suite red
-    monkeypatch.setattr(oracle, "default_bounds", lambda n, d, t: SearchBounds(1, 1, 1))
+    monkeypatch.setattr(oracle, "default_bounds", lambda n, d, t: SearchBounds(1, 1))
     assert cli.main(["verify", "nonemptiness", "--d-max", "20"]) == 1
     out = capsys.readouterr().out
     assert "NO CLASS FOUND" in out and out.endswith("nonemptiness: FAIL\n")

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,7 +15,6 @@ from kummer_moduli.lattice import (
     divisibility_vector,
     embed,
     gram_matrix,
-    is_primitive,
     pairing,
     square_split,
 )
@@ -63,7 +63,6 @@ def test_gram_determinant():
 
 def test_lattice_object():
     lat = KummerLattice(2)
-    assert lat.rank == 7
     assert lat.gram == gram_matrix(2)
     with pytest.raises(ValueError):
         KummerLattice(1)
@@ -92,17 +91,26 @@ def test_divisibility_vector_examples():
         divisibility_vector((0,) * 7, lat)
 
 
-def test_is_primitive():
-    assert is_primitive((3, 0, 0, 0, 0, 0, 2))
-    assert not is_primitive((2, 2, 0, 0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        is_primitive((0,) * 7)
-
-
 def test_vector_length_checked():
     lat = KummerLattice(2)
     with pytest.raises(ValueError):
         bb_square((1, 0, 0), lat)
+
+
+@pytest.mark.parametrize("bad", [1.5, "3"])
+def test_non_integer_coordinate_rejected(bad):
+    # int() would truncate 1.5 to 1 and parse "3"; a coordinate must be an integer
+    lat = KummerLattice(2)
+    with pytest.raises(ValueError):
+        bb_square((bad, bad, 0, 0, 0, 0, 0), lat)
+    with pytest.raises(ValueError):
+        divisibility_vector((1, 0, 0, 0, 0, 0, bad), lat)
+
+
+def test_numpy_integer_coordinates_accepted():
+    lat = KummerLattice(2)
+    v = np.array((1, 2, 0, 0, 0, 0, 1), dtype=np.int64)
+    assert bb_square(tuple(v), lat) == bb_square((1, 2, 0, 0, 0, 0, 1), lat) == -2
 
 
 def test_split_class_examples():

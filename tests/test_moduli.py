@@ -4,7 +4,7 @@ import hashlib
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kummer_moduli import moduli
 from kummer_moduli.moduli import (
@@ -212,3 +212,92 @@ def test_count_table_ignores_larger_n(cold_table):
             for t in range(1, 2 * n + 3):
                 component_count(n, d, t)
     assert len(cold_table) == size
+
+
+def _reference_count(n, d, t):
+    # Eichler's criterion: #{u in (Z/t)^x : (2n+2)u^2 + 2d = 0 mod 2t^2}, up to u ~ -u
+    m = 2 * n + 2
+    count = sum(
+        1 for u in range(t) if gcd(u, t) == 1 and (m * u * u + 2 * d) % (2 * t * t) == 0
+    )
+    return count // 2 if t > 2 else count
+
+
+def _in_defect_class(n, d, t):
+    # ROADMAP item 1: the case chain reports one component where the space is empty
+    return n % 4 == 1 and t == 2 and d % 4 == 0
+
+
+@settings(max_examples=500)
+@given(st.integers(2, 200), st.data())
+def test_count_matches_the_reference_count(n, data):
+    t = data.draw(st.sampled_from([k for k in range(1, 2 * n + 3) if (2 * n + 2) % k == 0]))
+    step = t // gcd(t, 2)  # the d with t | 2d are the multiples of step
+    d = step * data.draw(st.integers(1, 10**6 // step))
+    assume(not _in_defect_class(n, d, t))
+    assert component_count(n, d, t).count == _reference_count(n, d, t)
+
+
+def test_count_matches_the_reference_count_past_the_digest():
+    # the count-table digest stops at n = 24, and random draws seldom give
+    # w and t1 a common prime; t <= 2 never reaches _halved_power_count
+    for n in range(25, 101):
+        for t in range(3, 2 * n + 3):
+            for d in range(1, 401):
+                if (2 * n + 2) % t == 0 and (2 * d) % t == 0:
+                    assert component_count(n, d, t).count == _reference_count(n, d, t)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 1: n = 4j+1, t = 2, 4 | d is empty"
+)
+def test_defect_class_is_empty():
+    # a primitive class of divisibility 2 at n = 4j+1 has d = 2 mod 4
+    for n in (5, 9, 13, 17):
+        for d in range(4, 41, 4):
+            assert component_count(n, d, 2).count == 0
+
+
+def _euler_phi(x):
+    return sum(1 for k in range(1, x + 1) if gcd(k, x) == 1)
+
+
+def _split(w, t1):
+    # (w_plus, w_minus): the part of w on the primes of t1, and the rest
+    w_plus = 1
+    while gcd(w // w_plus, t1) > 1:
+        w_plus *= gcd(w // w_plus, t1)
+    return w_plus, w // w_plus
+
+
+def _prime_count(x):
+    return sum(1 for p in range(2, x + 1) if x % p == 0 and all(p % q for q in range(2, p)))
+
+
+@given(st.integers(1, 300), st.integers(1, 300), st.integers(1, 300))
+def test_halved_power_count_matches_the_definition(w, t1, l):
+    w_plus, w_minus = _split(w, t1)
+    doubled = w_plus * _euler_phi(w_minus) * 2 ** _prime_count(l)
+    if doubled % 2:
+        with pytest.raises(ArithmeticError):
+            moduli._halved_power_count(w, t1, l)
+    else:
+        assert moduli._halved_power_count(w, t1, l) == doubled // 2
+
+
+def test_neg_ratio_examples():
+    assert moduli._neg_ratio(1, 3, 4) == 1  # -1 * 3^-1 = -3 = 1 mod 4
+    assert moduli._neg_ratio(5, 7, 1) == 0
+    with pytest.raises(ValueError):
+        moduli._neg_ratio(1, 2, 4)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 400), st.integers(1, 400))
+def test_neg_ratio_solves_the_congruence(d1, denom, modulus):
+    if gcd(denom, modulus) != 1:
+        with pytest.raises(ValueError):
+            moduli._neg_ratio(d1, denom, modulus)
+    else:
+        r = moduli._neg_ratio(d1, denom, modulus)
+        assert 0 <= r < modulus
+        assert (denom * r + d1) % modulus == 0

@@ -18,7 +18,7 @@ from kummer_moduli.oracle import (
     nonemptiness_crosscheck,
 )
 
-BOX = SearchBounds(20, 20, 50)
+BOX = SearchBounds(20, 20)
 
 
 def test_enumerate_examples():
@@ -44,6 +44,14 @@ def test_enumerate_pinned_under_default_bounds():
     assert hashlib.md5(text.encode()).hexdigest() == "86b901ce34f3981574a160c83f19b096"
 
 
+def test_enumerate_finds_no_class_in_the_defect_class():
+    # ROADMAP item 1: component_count(5, 4, 2) reports one component, but
+    # a divisibility-2 class at n = 5 has d = 2 mod 4; (5, 6, 2) shows the box is not starved
+    box = SearchBounds(60, 60)
+    assert enumerate_primitive_classes(5, 4, 2, box) == []
+    assert len(enumerate_primitive_classes(5, 6, 2, box)) == 68
+
+
 def test_enumerate_domain():
     with pytest.raises(ValueError):
         enumerate_primitive_classes(1, 4, 1, BOX)
@@ -53,9 +61,9 @@ def test_enumerate_domain():
 
 def test_search_bounds_validation():
     with pytest.raises(ValueError):
-        SearchBounds(0, 5, 5)
+        SearchBounds(0, 5)
     with pytest.raises(ValueError):
-        SearchBounds(5, -1, 5)
+        SearchBounds(5, -1)
 
 
 def test_default_bounds_cover_delta_coefficient():
@@ -106,7 +114,7 @@ def test_nonemptiness_crosscheck_small():
 
 def test_nonemptiness_crosscheck_fails_on_a_starved_box(monkeypatch):
     # a deliberately starved box misses genuinely non-empty triples
-    monkeypatch.setattr(oracle, "default_bounds", lambda n, d, t: SearchBounds(1, 1, 1))
+    monkeypatch.setattr(oracle, "default_bounds", lambda n, d, t: SearchBounds(1, 1))
     assert (2, 5, 2) in nonemptiness_crosscheck(2, 30)
 
 
