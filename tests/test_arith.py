@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from kummer_moduli import moduli
 from kummer_moduli.arith import factorize, is_quadratic_residue
 
 
@@ -32,6 +33,30 @@ def test_quadratic_residue_examples():
     assert is_quadratic_residue(1, 4)
     assert is_quadratic_residue(7, 1)
     assert is_quadratic_residue(7, 2)
+
+
+@given(st.integers(1, 3000))
+def test_phi_counts_coprime_residues(l):
+    # phi lives in moduli._halved_power_count: with t1 = 1 and rho(2) = 1 it is phi(w)
+    assert moduli._halved_power_count(l, 1, 2) == sum(
+        1 for x in range(1, l + 1) if math.gcd(x, l) == 1
+    )
+
+
+def _primes_of(x):
+    return set(factorize(x))
+
+
+@given(st.integers(1, 600), st.integers(1, 600))
+def test_split_w_reconstructs(w, t1):
+    # the w_plus/w_minus split that _halved_power_count applies to w
+    w_plus = math.prod(p**e for p, e in factorize(w).items() if t1 % p == 0)
+    w_minus = w // w_plus
+    assert w_plus * w_minus == w
+    assert _primes_of(w_plus) <= _primes_of(t1)
+    assert not (_primes_of(w_minus) & _primes_of(t1))
+    phi_minus = sum(1 for x in range(1, w_minus + 1) if math.gcd(x, w_minus) == 1)
+    assert moduli._halved_power_count(w, t1, 2) == w_plus * phi_minus
 
 
 @given(st.integers(0, 500), st.integers(1, 100))
