@@ -70,6 +70,16 @@ class Verdict:
     components: int
 
 
+# the verdicts that carry no per-triple data, shared by every call
+_EMPTY = Verdict("Empty", None, False, 0)
+_DIVISIBILITY_ONE = Verdict(
+    "GenericBPF",
+    Certificate(kind="DivisibilityOne", note=DIVISIBILITY_ONE_NOTE),
+    False,
+    1,
+)
+
+
 def exceptional_set() -> frozenset[tuple[int, int, int]]:
     """The seven excluded triples (n, d, t)."""
     return _EXCEPTIONAL_TRIPLES
@@ -129,14 +139,11 @@ def decide(n: int, d: int, t: int) -> Verdict:
     in_a = (n, d, t) in _EXCEPTIONAL_TRIPLES
     count = component_count(n, d, t).count
     if count == 0:
-        return Verdict("Empty", None, in_a, count)
+        return Verdict("Empty", None, True, count) if in_a else _EMPTY
     if t == 1:
-        return Verdict(
-            "GenericBPF",
-            Certificate(kind="DivisibilityOne", note=DIVISIBILITY_ONE_NOTE),
-            in_a,
-            count,
-        )
+        if count == 1 and not in_a:
+            return _DIVISIBILITY_ONE
+        return Verdict("GenericBPF", _DIVISIBILITY_ONE.certificate, in_a, count)
     w = build_witness(n, d, t)
     cert = None if w is None else certify_decomposition(n, w)
     if cert is None:

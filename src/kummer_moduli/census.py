@@ -7,7 +7,9 @@ built.  Rows are pure functions of their triple, so the table is
 byte-identical across runs.
 
 The census runs serially: its rows are pure-Python work, so threads only
-contend for the interpreter lock.
+contend for the interpreter lock.  :func:`write_csv` writes each row as
+it is built, so a CSV census streams in memory that stays flat in d_max;
+:func:`census_rows` and the JSON form hold the whole table.
 """
 
 from __future__ import annotations
@@ -15,21 +17,20 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from .bpf import Certificate, decide, exceptional_set
 from .moduli import component_count, connectedness_report, triples
 from .oracle import divisibility_crosscheck, nonemptiness_crosscheck
-from .witness import Witness, build_witness, verify_witness
+from .witness import build_witness, verify_witness
 
 CSV_HEADER = "n,d,t,nonempty,components,c_L,c_delta,d_hat,verdict,certificate,in_A,discrepancy"
 
 _FIELDS = CSV_HEADER.split(",")
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     n: int
     d: int
     t: int
@@ -42,32 +43,20 @@ class CensusRow:
     certificate: Optional[str]
     in_A: bool
     discrepancy: bool
-    certificate_detail: Optional[Certificate] = field(
-        default=None, repr=False, compare=False
-    )
+    certificate_detail: Optional[Certificate] = None
 
 
 def build_row(n: int, d: int, t: int) -> CensusRow:
     verdict = decide(n, d, t)
-    count = verdict.components
-    witness: Witness | None = None
-    if count > 0 and t >= 2:
-        witness = build_witness(n, d, t)
-    cert = verdict.certificate
+    count, cert, in_a = verdict.components, verdict.certificate, verdict.in_exceptional_set
+    witness = build_witness(n, d, t) if count > 0 and t >= 2 else None
+    if witness is None:
+        c_l = c_delta = d_hat = None
+    else:
+        c_l, c_delta, d_hat = witness.shape.c_L, witness.shape.c_delta, witness.d_hat
     return CensusRow(
-        n=n,
-        d=d,
-        t=t,
-        nonempty=count > 0,
-        components=count,
-        c_L=witness.shape.c_L if witness else None,
-        c_delta=witness.shape.c_delta if witness else None,
-        d_hat=witness.d_hat if witness else None,
-        verdict=verdict.status,
-        certificate=cert.kind if cert else None,
-        in_A=verdict.in_exceptional_set,
-        discrepancy=verdict.status == "GenericBPF" and verdict.in_exceptional_set,
-        certificate_detail=cert,
+        n, d, t, count > 0, count, c_l, c_delta, d_hat, verdict.status,
+        cert.kind if cert else None, in_a, verdict.status == "GenericBPF" and in_a, cert,
     )
 
 
@@ -81,38 +70,45 @@ def worker_count() -> int:
     return 1
 
 
+def _stream_rows(n_set: Iterable[int], d_max: int) -> Iterator[CensusRow]:
+    """The census rows one at a time, sorted by (n, d, t).
+
+    The range is checked on the first ``next``, before any row is built.
+    """
+    for triple in triples(n_set, d_max):
+        yield build_row(*triple)
+
+
 def census_rows(n_set: Iterable[int], d_max: int) -> list[CensusRow]:
     """All census rows for the given dimensions, sorted by (n, d, t)."""
     worker_count()
-    return [build_row(*triple) for triple in triples(n_set, d_max)]
+    return list(_stream_rows(n_set, d_max))
 
 
-def rows_to_csv(rows: Iterable[CensusRow]) -> str:
-    """The CSV table: a header line, then one line per row.
+def write_csv(rows: Iterable[CensusRow], handle: TextIO) -> None:
+    """Write the CSV table to ``handle``: a header line, then one line per row.
 
-    Booleans are written as ``true``/``false`` and ``None`` as an empty
-    cell; quoting is the ``csv`` module's.
+    Each row is written as it is taken from ``rows``.  Booleans are
+    written as ``true``/``false`` and ``None`` as an empty cell; quoting
+    is the ``csv`` module's.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(_FIELDS)
     writer.writerows(
         (
-            r.n,
-            r.d,
-            r.t,
-            "true" if r.nonempty else "false",
-            r.components,
-            r.c_L,
-            r.c_delta,
-            r.d_hat,
-            r.verdict,
-            r.certificate,
-            "true" if r.in_A else "false",
-            "true" if r.discrepancy else "false",
+            n, d, t, "true" if nonempty else "false", components, c_l, c_delta,
+            d_hat, verdict, certificate, "true" if in_a else "false",
+            "true" if discrepancy else "false",
         )
-        for r in rows
+        for n, d, t, nonempty, components, c_l, c_delta, d_hat, verdict,
+        certificate, in_a, discrepancy, _ in rows
     )
+
+
+def rows_to_csv(rows: Iterable[CensusRow]) -> str:
+    """The CSV table of :func:`write_csv` as one string."""
+    buffer = io.StringIO()
+    write_csv(rows, buffer)
     return buffer.getvalue()
 
 

@@ -1,5 +1,10 @@
 """Command-line surface: single-triple queries, census tables, verification.
 
+``kummer census`` writes CSV rows as they are built, so its memory stays
+flat in ``--d-max``; JSON is built in memory first.  ``--out`` is written
+to a temporary file beside it, which replaces it only when the whole
+table has been written, so a failed run leaves an existing file as it was.
+
 Exit codes
 ----------
 0   success; for ``decide``, verdict GenericBPF
@@ -14,19 +19,22 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
-from typing import Sequence
+import tempfile
+from typing import Callable, Sequence, TextIO
 
 from .bpf import decide
 from .census import (
+    _stream_rows,
     census_rows,
-    rows_to_csv,
     rows_to_json,
     suite_connectedness,
     suite_divisibility,
     suite_exceptional,
     suite_nonemptiness,
     suite_witnesses,
+    write_csv,
 )
 from .moduli import component_count, triples
 from .witness import build_witness
@@ -148,21 +156,59 @@ def _cmd_census(args: argparse.Namespace) -> int:
     # a rejected range raises here, before --out is created or truncated
     next(triples(args.n, args.d_max), None)
     if args.out is None:
-        sys.stdout.write(_census_text(args))
+        _write_census(args, sys.stdout)
         return 0
-    # the output path is opened before any row is built
+    # the output file is created before any row is built
     try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(_census_text(args))
+        _replace_on_success(args.out, lambda handle: _write_census(args, handle))
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return 0
 
 
-def _census_text(args: argparse.Namespace) -> str:
-    rows = census_rows(args.n, args.d_max)
-    return rows_to_json(rows) if args.format == "json" else rows_to_csv(rows)
+def _write_census(args: argparse.Namespace, handle: TextIO) -> None:
+    """CSV rows are written as they are built; JSON is built in memory first."""
+    if args.format == "json":
+        handle.write(rows_to_json(census_rows(args.n, args.d_max)))
+    else:
+        write_csv(_stream_rows(args.n, args.d_max), handle)
+
+
+def _replace_on_success(path: str, write: Callable[[TextIO], None]) -> None:
+    """Run ``write`` on a temporary file beside ``path``, then move it onto ``path``.
+
+    If ``write`` raises, the temporary file is removed and ``path`` is
+    left as it was.  The result has the mode ``open(path, "w")`` would
+    give: an existing file's own mode, else 0o666 less the umask.  An
+    existing ``path`` that is not a regular file (``/dev/null``, a
+    directory) is opened and written directly.
+    """
+    target = os.path.realpath(path)
+    try:
+        info = os.stat(target)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        if not stat.S_ISREG(info.st_mode):
+            with open(target, "w", encoding="utf-8") as handle:
+                write(handle)
+            return
+        open(target, "a").close()  # the permission check of open(path, "w"), without truncating
+        mode = stat.S_IMODE(info.st_mode)
+    fd, temp = tempfile.mkstemp(
+        prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target)
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            write(handle)
+        os.chmod(temp, mode)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

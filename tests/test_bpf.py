@@ -4,12 +4,13 @@ import hashlib
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from kummer_moduli.bpf import (
     DIVISIBILITY_ONE_NOTE,
     Certificate,
     Piece,
+    Verdict,
     certificate_is_valid,
     certify_decomposition,
     decide,
@@ -254,3 +255,30 @@ def test_verdicts_pinned():
 def test_verdict_carries_the_component_count():
     for n, d, t in triples((2, 3, 4), 200):
         assert decide(n, d, t).components == component_count(n, d, t).count
+
+
+@given(st.integers(2, 60), st.integers(1, 10**6), st.data())
+def test_shared_verdicts_equal_fresh_ones(n, d, data):
+    # decide returns shared constants for these verdicts; they must be
+    # indistinguishable from a verdict built field by field
+    t = data.draw(st.sampled_from([k for k in range(1, 2 * n + 3) if (2 * n + 2) % k == 0]))
+    count = component_count(n, d, t).count
+    assume(count == 0 or t == 1)
+    in_a = (n, d, t) in exceptional_set()
+    if count == 0:
+        fresh = Verdict("Empty", None, in_a, count)
+    else:
+        fresh = Verdict(
+            "GenericBPF",
+            Certificate(kind="DivisibilityOne", note=DIVISIBILITY_ONE_NOTE),
+            in_a,
+            count,
+        )
+    verdict = decide(n, d, t)
+    assert verdict == fresh
+    assert repr(verdict) == repr(fresh)
+
+
+def test_verdicts_without_triple_data_are_shared():
+    assert decide(2, 3, 3) is decide(3, 1, 8)  # Empty
+    assert decide(2, 5, 1) is decide(9, 4, 1)  # DivisibilityOne, one component

@@ -14,13 +14,16 @@ CMD = [sys.executable, "-m", "kummer_moduli"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run(*args, **kwargs):
+def run_env():
     # the child finds the package from a source checkout, installed or not
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + path if path else SRC}
+    return {**os.environ, "PYTHONPATH": SRC + os.pathsep + path if path else SRC}
+
+
+def run(*args, **kwargs):
     kwargs.setdefault("stdout", subprocess.PIPE)
     return subprocess.run(
-        CMD + list(args), stderr=subprocess.PIPE, text=True, env=env, **kwargs
+        CMD + list(args), stderr=subprocess.PIPE, text=True, env=run_env(), **kwargs
     )
 
 
@@ -160,6 +163,87 @@ def test_census_to_file_in_process(monkeypatch, tmp_path):
     assert out.read_text() == census.rows_to_csv(census.census_rows([2], 2))
 
 
+def test_failed_census_leaves_out_alone(monkeypatch, tmp_path, capsys):
+    build_row = census.build_row
+    built = []
+
+    def failing(*triple):
+        built.append(triple)
+        if len(built) == 100:
+            raise ValueError("row 100 failed")
+        return build_row(*triple)
+
+    monkeypatch.setattr(census, "build_row", failing)
+    out = tmp_path / "f"
+    out.write_bytes(b"old bytes\n")
+    assert cli.main(["census", "2", "3", "4", "--d-max", "50", "--out", str(out)]) == 2
+    assert len(built) == 100
+    assert out.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+    assert "row 100 failed" in capsys.readouterr().err
+
+
+def test_census_out_mode_is_that_of_open(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        new = tmp_path / "new.csv"
+        assert cli.main(["census", "2", "--d-max", "2", "--out", str(new)]) == 0
+        assert new.stat().st_mode & 0o777 == 0o666 & ~0o027
+    finally:
+        os.umask(umask)
+    # an existing file keeps its mode, as open(path, "w") keeps it
+    old = tmp_path / "old.csv"
+    old.write_text("old\n")
+    old.chmod(0o604)
+    assert cli.main(["census", "2", "--d-max", "2", "--out", str(old)]) == 0
+    assert old.stat().st_mode & 0o777 == 0o604
+    assert old.read_text() == census.rows_to_csv(census.census_rows([2], 2))
+    # and, like open(path, "w"), a symlink is written through, not replaced
+    link = tmp_path / "link.csv"
+    link.symlink_to(old)
+    old.write_text("old\n")
+    assert cli.main(["census", "2", "--d-max", "2", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert old.read_text() == census.rows_to_csv(census.census_rows([2], 2))
+
+
+def test_census_out_dev_null():
+    assert cli.main(["census", "2", "3", "4", "--d-max", "20", "--out", os.devnull]) == 0
+
+
+def test_census_csv_pinned_at_20000(tmp_path):
+    out = tmp_path / "census.csv"
+    assert cli.main(["census", "2", "3", "4", "--d-max", "20000", "--out", str(out)]) == 0
+    assert hashlib.md5(out.read_bytes()).hexdigest() == "49a71b48c3d2a257ac69cea2aa080cbd"
+
+
+def test_census_json_pinned_at_500(capsys):
+    assert cli.main(["census", "2", "3", "4", "--d-max", "500", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == "6f88754b0b18cbe5704b420d4be4e03a"
+
+
+_PEAK_RSS = (
+    "import sys\n"
+    "from kummer_moduli import cli\n"
+    "assert cli.main(sys.argv[1:]) == 0\n"
+    "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')))\n"
+)
+
+
+def test_census_memory_flat_in_d_max(tmp_path):
+    # the child's own peak RSS in kB.  Not ru_maxrss: Linux carries the
+    # peak of the spawning process over into the child's, so after an
+    # in-process census both runs would read this process's peak.
+    def peak_kb(d_max):
+        argv = ["census", "2", "3", "4", "--d-max", str(d_max), "--out", str(tmp_path / "f")]
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=run_env(),
+                              stdout=subprocess.PIPE, text=True, check=True, timeout=120)
+        return int(proc.stdout)
+
+    assert peak_kb(20000) - peak_kb(200) < 10 * 1024
+
+
 def test_census_unsupported_n_exit_2():
     proc = run("census", "5", "--d-max", "3")
     assert proc.returncode == 2
@@ -286,3 +370,17 @@ def test_closed_stdout_is_not_a_failed_check():
             os.close(write_end)
         assert proc.returncode == 2, args
         assert "Traceback" not in proc.stderr, args
+
+
+def test_stdout_closed_in_mid_census():
+    proc = subprocess.Popen(
+        CMD + ["census", "2", "3", "4", "--d-max", "5000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=run_env(),
+    )
+    assert proc.stdout.readline().startswith(b"n,d,t,")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert b"Traceback" not in err
