@@ -25,7 +25,7 @@ from .census import (
     suite_witnesses,
 )
 from .moduli import CountResult, component_count, is_nonempty
-from .witness import Witness, build_witness
+from .witness import build_witness
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "Certificate",
     "CountResult",
     "Verdict",
-    "Witness",
     "build_witness",
     "census_rows",
     "certificate_is_valid",

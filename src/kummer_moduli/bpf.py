@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .lattice import SplitClass
 from .moduli import component_count
-from .witness import Witness, build_witness, verify_witness
+from .witness import build_witness, verify_witness
 
 DIVISIBILITY_ONE_NOTE = "effective L => L_n base-point-free"
 
@@ -98,13 +99,15 @@ def very_ample_bound(m: int, d_hat: int) -> int:
     return 2 * (m - 1) * d_hat - 2
 
 
-def certify_decomposition(n: int, w: Witness) -> Certificate | None:
+def certify_decomposition(n: int, w: SplitClass) -> Certificate | None:
     """First decomposition of the witness into base-point-free pieces.
 
-    The candidates are the multisets of p = -c_delta pieces k_i*L - delta
-    with k_i >= 2 and sum k_i = c_L, in descending lexicographic order of
-    the descending part tuple; one qualifies when every piece passes the
-    f-bound against n.  The first qualifying one has a closed form:
+    The witness c_L*L + c_delta*delta is a ``SplitClass`` with a = c_L
+    and b = c_delta.  The candidates are the multisets of p = -c_delta
+    pieces k_i*L - delta with k_i >= 2 and sum k_i = c_L, in descending
+    lexicographic order of the descending part tuple; one qualifies when
+    every piece passes the f-bound against n.  The first qualifying one
+    has a closed form:
 
     1. f(k*L) = 2(k-1)*d_hat - 2 is increasing in k (d_hat >= 1), so a
        piece passes iff k >= k0 = max(2, 1 + ceil((n+2) / (2*d_hat))).
@@ -117,13 +120,13 @@ def certify_decomposition(n: int, w: Witness) -> Certificate | None:
     One piece gives a ``DirectVeryAmple`` certificate, several a
     ``Decomposition``.
     """
-    p, d_hat = -w.shape.c_delta, w.d_hat
+    p, d_hat = -w.b, w.d_hat
     if p < 1 or d_hat < 1:
         raise ValueError(
             f"certification needs c_delta <= -1 and d_hat >= 1, got {-p} and {d_hat}"
         )
     k0 = max(2, 1 + -(-(n + 2) // (2 * d_hat)))
-    top = w.shape.c_L - (p - 1) * k0
+    top = w.a - (p - 1) * k0
     if top < k0:
         return None
     if p == 1:
@@ -173,8 +176,8 @@ def certificate_is_valid(n: int, d: int, t: int, cert: Certificate) -> bool:
     if w is None or not verify_witness(w, n, d, t) or cert.d_hat != w.d_hat:
         return False
     return (
-        sum(p.k * p.multiplicity for p in pieces) == w.shape.c_L
-        and sum(p.multiplicity for p in pieces) == -w.shape.c_delta
+        sum(p.k * p.multiplicity for p in pieces) == w.a
+        and sum(p.multiplicity for p in pieces) == -w.b
         and all(p.k >= 2 and p.multiplicity >= 1 for p in pieces)
         and all(p.f_value == very_ample_bound(p.k, w.d_hat) for p in pieces)
         and all(p.f_value >= n for p in pieces)

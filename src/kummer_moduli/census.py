@@ -53,7 +53,7 @@ def build_row(n: int, d: int, t: int) -> CensusRow:
     if witness is None:
         c_l = c_delta = d_hat = None
     else:
-        c_l, c_delta, d_hat = witness.shape.c_L, witness.shape.c_delta, witness.d_hat
+        c_l, c_delta, d_hat = witness.a, witness.b, witness.d_hat
     return CensusRow(
         n, d, t, count > 0, count, c_l, c_delta, d_hat, verdict.status,
         cert.kind if cert else None, in_a, verdict.status == "GenericBPF" and in_a, cert,

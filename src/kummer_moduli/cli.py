@@ -135,20 +135,9 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         print("no certified witness shape for this triple", file=sys.stderr)
         return 3
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "c_L": witness.shape.c_L,
-                    "c_delta": witness.shape.c_delta,
-                    "d_hat": witness.d_hat,
-                }
-            )
-        )
+        print(json.dumps({"c_L": witness.a, "c_delta": witness.b, "d_hat": witness.d_hat}))
     else:
-        print(
-            f"{witness.shape.c_L}*L + ({witness.shape.c_delta})*delta"
-            f" with q(L)=2*{witness.d_hat}"
-        )
+        print(f"{witness.a}*L + ({witness.b})*delta with q(L)=2*{witness.d_hat}")
     return 0
 
 

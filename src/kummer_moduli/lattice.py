@@ -6,6 +6,9 @@ fixed basis order
 
     (e1, f1, e2, f2, e3, f3, delta).
 
+The lattice is named by its parameter n alone: every function here
+takes n (n >= 2) where it needs the form.
+
 Two representations of a class are supported:
 
 * a concrete 7-vector of integer coordinates in that basis, and
@@ -14,14 +17,15 @@ Two representations of a class are supported:
 
 Every class reduces to the split form, which is what all the counting
 and certification formulas consume; ``embed`` maps it back to a concrete
-vector so the two views can be cross-checked.
+vector so the two views can be cross-checked.  A witness class
+c_L*L + c_delta*delta is a ``SplitClass`` with a = c_L, b = c_delta and
+lam = L.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
@@ -30,34 +34,20 @@ RANK = 7
 Vector = Sequence[int]
 
 
-@lru_cache(maxsize=None)
-def _gram_rows(n: int) -> tuple[tuple[int, ...], ...]:
+def _check_n(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"lattice parameter n must be >= 2, got {n}")
+
+
+def gram_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    """Gram matrix of U^3 + <-(2n+2)> in the fixed basis; determinant 2n+2."""
+    _check_n(n)
     m = [[0] * RANK for _ in range(RANK)]
     for block in range(3):
         i = 2 * block
         m[i][i + 1] = m[i + 1][i] = 1
     m[6][6] = -(2 * n + 2)
     return tuple(tuple(row) for row in m)
-
-
-@dataclass(frozen=True)
-class KummerLattice:
-    """The form U^3 + <-(2n+2)> for a fixed half-dimension parameter n."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"lattice parameter n must be >= 2, got {self.n}")
-
-    @property
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        return _gram_rows(self.n)
-
-
-def gram_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    """Gram matrix of U^3 + <-(2n+2)> in the fixed basis; determinant 2n+2."""
-    return KummerLattice(n).gram
 
 
 def _check_vector(v: Vector) -> tuple[int, ...]:
@@ -71,29 +61,31 @@ def _check_vector(v: Vector) -> tuple[int, ...]:
     return vt
 
 
-def pairing(v: Vector, w: Vector, lat: KummerLattice) -> int:
+def pairing(v: Vector, w: Vector, n: int) -> int:
     """Bilinear pairing v^T * gram * w, in closed form for U^3 + <-(2n+2)>."""
+    _check_n(n)
     vt, wt = _check_vector(v), _check_vector(w)
     hyperbolic = sum(vt[i] * wt[i + 1] + vt[i + 1] * wt[i] for i in (0, 2, 4))
-    return hyperbolic - (2 * lat.n + 2) * vt[6] * wt[6]
+    return hyperbolic - (2 * n + 2) * vt[6] * wt[6]
 
 
-def bb_square(v: Vector, lat: KummerLattice) -> int:
+def bb_square(v: Vector, n: int) -> int:
     """Square of a vector under the lattice form; always even."""
-    return pairing(v, v, lat)
+    return pairing(v, v, n)
 
 
-def divisibility_vector(v: Vector, lat: KummerLattice) -> int:
+def divisibility_vector(v: Vector, n: int) -> int:
     """Positive generator of the ideal of pairings of v with the lattice.
 
     Computed as the gcd of the pairings with the 7 basis vectors, which
     are v1, v0, v3, v2, v5, v4 and -(2n+2)*v6.  The zero vector has no
     divisibility (the ideal degenerates) and is rejected.
     """
+    _check_n(n)
     vt = _check_vector(v)
     if not any(vt):
         raise ValueError("divisibility of the zero class is undefined")
-    return gcd(*vt[:6], (2 * lat.n + 2) * vt[6])
+    return gcd(*vt[:6], (2 * n + 2) * vt[6])
 
 
 @dataclass(frozen=True)
@@ -111,8 +103,7 @@ class SplitClass:
     d_hat: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"lattice parameter n must be >= 2, got {self.n}")
+        _check_n(self.n)
 
 
 def square_split(c: SplitClass) -> int:

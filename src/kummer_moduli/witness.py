@@ -9,16 +9,17 @@ coefficient shapes; the builder solves
 and accepts the first catalog shape for which d_hat is a positive
 integer.  Which shape fires is a congruence condition on d that the
 census records empirically rather than asserting.
+
+A shape is a pair (c_L, c_delta); a witness is the lattice's
+``SplitClass(n, a, b, d_hat)`` with a = c_L and b = c_delta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from .lattice import (
-    KummerLattice,
     SplitClass,
     bb_square,
     divisibility_split,
@@ -36,21 +37,8 @@ _FALLBACK_SHAPES: dict[tuple[int, int], tuple[int, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class WitnessShape:
-    c_L: int
-    c_delta: int
-
-
-@dataclass(frozen=True)
-class Witness:
-    shape: WitnessShape
-    d_hat: int
-    split: SplitClass
-
-
-def shape_catalog(n: int, t: int) -> list[WitnessShape]:
-    """Admissible witness shapes for (n, t), primary shape first.
+def shape_catalog(n: int, t: int) -> list[tuple[int, int]]:
+    """Admissible (c_L, c_delta) witness shapes for (n, t), primary first.
 
     Every emitted shape is primitive and has divisibility exactly t;
     returns [] when t does not divide 2n+2 (no shape can work).
@@ -59,7 +47,7 @@ def shape_catalog(n: int, t: int) -> list[WitnessShape]:
 
 
 @lru_cache(maxsize=32)
-def _catalog(n: int, t: int) -> tuple[WitnessShape, ...]:
+def _catalog(n: int, t: int) -> tuple[tuple[int, int], ...]:
     """The shapes of :func:`shape_catalog`, computed once per (n, t).
 
     Only the 12 pairs with t | 2n+2 have shapes; the bound keeps calls
@@ -75,44 +63,45 @@ def _catalog(n: int, t: int) -> tuple[WitnessShape, ...]:
     if (n, t) in _FALLBACK_SHAPES:
         candidates.append(_FALLBACK_SHAPES[(n, t)])
     return tuple(
-        WitnessShape(c_l, c_d)
+        (c_l, c_d)
         for c_l, c_d in candidates
         if gcd(c_l, 2 * (n + 1) * c_d) == t and gcd(c_l, c_d) == 1
     )
 
 
-def build_witness(n: int, d: int, t: int) -> Witness | None:
-    """First catalog shape whose solved d_hat is a positive integer."""
+def build_witness(n: int, d: int, t: int) -> SplitClass | None:
+    """First catalog shape whose solved d_hat is a positive integer.
+
+    The witness c_L*L + c_delta*delta is returned as
+    ``SplitClass(n, c_L, c_delta, d_hat)``; None if no shape fits.
+    """
     if not is_nonempty(n, d, t):
         raise ValueError(
             f"cannot build a witness for the empty moduli space (n={n}, d={d}, t={t})"
         )
-    for shape in _catalog(n, t):
-        numerator = d + (n + 1) * shape.c_delta**2
-        square = shape.c_L**2
+    for c_l, c_d in _catalog(n, t):
+        numerator = d + (n + 1) * c_d * c_d
+        square = c_l * c_l
         if numerator % square == 0 and numerator // square >= 1:
-            d_hat = numerator // square
-            return Witness(shape, d_hat, SplitClass(n, shape.c_L, shape.c_delta, d_hat))
+            return SplitClass(n, c_l, c_d, numerator // square)
     return None
 
 
-def verify_witness(w: Witness, n: int, d: int, t: int) -> bool:
+def verify_witness(w: SplitClass, n: int, d: int, t: int) -> bool:
     """Re-derive every claim the witness makes, from scratch.
 
-    Checks the shape orientation (c_L >= 1, c_delta <= -1 — the
-    decomposition certifiers rely on a negative delta coefficient),
-    primitivity, d_hat >= 1, the square and divisibility in split form,
-    and the same two values again on the embedded concrete vector.
+    The witness is a ``SplitClass`` with a = c_L and b = c_delta.  Checks
+    that it lives in the lattice of n, the orientation (c_L >= 1,
+    c_delta <= -1 — the decomposition certifiers rely on a negative delta
+    coefficient), primitivity, d_hat >= 1, the square and divisibility in
+    split form, and the same two values again on the embedded concrete
+    vector.
     """
-    shape, split = w.shape, w.split
-    if (split.n, split.a, split.b, split.d_hat) != (n, shape.c_L, shape.c_delta, w.d_hat):
+    if w.n != n or w.a < 1 or w.b > -1:
         return False
-    if shape.c_L < 1 or shape.c_delta > -1:
+    if gcd(w.a, w.b) != 1 or w.d_hat < 1:
         return False
-    if gcd(shape.c_L, shape.c_delta) != 1 or w.d_hat < 1:
+    if square_split(w) != 2 * d or divisibility_split(w) != t:
         return False
-    if square_split(split) != 2 * d or divisibility_split(split) != t:
-        return False
-    lat = KummerLattice(n)
-    vec = embed(split)
-    return bb_square(vec, lat) == 2 * d and divisibility_vector(vec, lat) == t
+    vec = embed(w)
+    return bb_square(vec, n) == 2 * d and divisibility_vector(vec, n) == t

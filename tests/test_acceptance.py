@@ -19,7 +19,6 @@ from kummer_moduli.bpf import (
 )
 from kummer_moduli.census import census_rows
 from kummer_moduli.lattice import (
-    KummerLattice,
     SplitClass,
     bb_square,
     divisibility_split,
@@ -123,17 +122,17 @@ def test_criterion_6_fallback_family():
             continue
         w = build_witness(3, d, 8)
         chosen[d] = w
-    fallback = sorted(d for d, w in chosen.items() if w.shape.c_delta == -3)
+    fallback = sorted(d for d, w in chosen.items() if w.b == -3)
     expected_ds = [64 * k - 36 for k in range(1, 9)]
     ok = fallback == expected_ds
     for k, d in enumerate(expected_ds, start=1):
         w = chosen[d]
-        ok = ok and w.shape.c_L == 8 and w.d_hat == k
-        ok = ok and square_split(w.split) == 128 * k - 72
+        ok = ok and w.a == 8 and w.d_hat == k
+        ok = ok and square_split(w) == 128 * k - 72
     _report(6, ok, f"fallback at d={fallback}")
     assert fallback == expected_ds
     for k, d in enumerate(expected_ds, start=1):
-        assert (chosen[d].shape.c_L, chosen[d].shape.c_delta) == (8, -3)
+        assert (chosen[d].a, chosen[d].b) == (8, -3)
         assert chosen[d].d_hat == k
 
 
@@ -165,7 +164,6 @@ def test_criterion_8_nonemptiness_necessary():
 def test_criterion_9_property_suite():
     # closed-form vs embedded-vector agreement on the full box
     for n in (2, 3, 4):
-        lat = KummerLattice(n)
         for a in range(-10, 11):
             for b in range(-10, 11):
                 if (a, b) == (0, 0):
@@ -173,21 +171,20 @@ def test_criterion_9_property_suite():
                 for d_hat in range(-10, 11):
                     c = SplitClass(n, a, b, d_hat)
                     v = embed(c)
-                    assert bb_square(v, lat) == square_split(c)
-                    assert divisibility_vector(v, lat) == divisibility_split(c)
+                    assert bb_square(v, n) == square_split(c)
+                    assert divisibility_vector(v, n) == divisibility_split(c)
 
     # scaling laws on seeded random vectors
     rng = random.Random(1729)
     for _ in range(200):
         n = rng.choice((2, 3, 4))
-        lat = KummerLattice(n)
         v = tuple(rng.randint(-50, 50) for _ in range(7))
         if not any(v):
             continue
         k = rng.randint(1, 6) * rng.choice((-1, 1))
         kv = tuple(k * x for x in v)
-        assert bb_square(kv, lat) == k * k * bb_square(v, lat)
-        assert divisibility_vector(kv, lat) == abs(k) * divisibility_vector(v, lat)
+        assert bb_square(kv, n) == k * k * bb_square(v, n)
+        assert divisibility_vector(kv, n) == abs(k) * divisibility_vector(v, n)
 
     # certificate re-verification on sampled certified rows
     rows = census_rows((2, 3, 4), D_MAX)
@@ -229,10 +226,9 @@ def test_divisibility_of_primitives_divides_discriminant():
     rng = random.Random(7)
     for _ in range(300):
         n = rng.choice((2, 3, 4))
-        lat = KummerLattice(n)
         v = tuple(rng.randint(-20, 20) for _ in range(7))
         if not any(v):
             continue
         g = math.gcd(*v)
         v = tuple(x // g for x in v)
-        assert (2 * n + 2) % divisibility_vector(v, lat) == 0
+        assert (2 * n + 2) % divisibility_vector(v, n) == 0

@@ -19,7 +19,8 @@ from kummer_moduli.bpf import (
 )
 from kummer_moduli.lattice import SplitClass
 from kummer_moduli.moduli import component_count, triples
-from kummer_moduli.witness import Witness, WitnessShape, build_witness
+from kummer_moduli.oracle import SearchBounds, enumerate_primitive_classes
+from kummer_moduli.witness import build_witness
 
 
 def test_very_ample_bound_examples():
@@ -56,7 +57,7 @@ def test_certify_decomposition_requires_negative_delta_coefficient():
     w = build_witness(2, 5, 2)
     for c_delta in (0, 1):
         with pytest.raises(ValueError):
-            certify_decomposition(2, replace(w, shape=WitnessShape(w.shape.c_L, c_delta)))
+            certify_decomposition(2, replace(w, b=c_delta))
     for d_hat in (0, -1):
         with pytest.raises(ValueError):
             certify_decomposition(2, replace(w, d_hat=d_hat))
@@ -87,7 +88,7 @@ def _partitions_desc(total, parts, max_part):
 
 def _first_qualifying_partition(n, w):
     """The certificate of the first partition whose every part clears n."""
-    for partition in _partitions_desc(w.shape.c_L, -w.shape.c_delta, w.shape.c_L):
+    for partition in _partitions_desc(w.a, -w.b, w.a):
         if all(very_ample_bound(k, w.d_hat) >= n for k in partition):
             if len(partition) == 1:
                 m = partition[0]
@@ -105,15 +106,11 @@ def _first_qualifying_partition(n, w):
     return None
 
 
-def _witness(n, c_L, c_delta, d_hat):
-    return Witness(WitnessShape(c_L, c_delta), d_hat, SplitClass(n, c_L, c_delta, d_hat))
-
-
 @given(
     st.integers(2, 40), st.integers(1, 30), st.integers(-8, -1), st.integers(1, 40)
 )
 def test_certify_decomposition_matches_partition_search(n, c_L, c_delta, d_hat):
-    w = _witness(n, c_L, c_delta, d_hat)
+    w = SplitClass(n, c_L, c_delta, d_hat)
     assert certify_decomposition(n, w) == _first_qualifying_partition(n, w)
 
 
@@ -125,7 +122,7 @@ def test_certify_decomposition_at_the_smallest_qualifying_part():
             k0 = next(k for k in range(2, n + 3) if very_ample_bound(k, d_hat) >= n)
             for p in range(1, 6):
                 for top in (k0 - 1, k0, k0 + 1):
-                    w = _witness(n, (p - 1) * k0 + top, -p, d_hat)
+                    w = SplitClass(n, (p - 1) * k0 + top, -p, d_hat)
                     cert = certify_decomposition(n, w)
                     assert cert == _first_qualifying_partition(n, w)
                     if top < k0:
@@ -146,6 +143,17 @@ def test_certify_decomposition_on_census_witnesses():
         cert = certify_decomposition(n, w)
         assert cert == _first_qualifying_partition(n, w)
         assert cert is None or certificate_is_valid(n, d, t, cert)
+
+
+@pytest.mark.parametrize("d", [5, 30])
+def test_no_searched_class_certifies_the_unknown_n4_t5_triples(d):
+    # (4, 5, 5) and (4, 30, 5) are Unknown but not excluded (criterion 1);
+    # no class with a negative delta coefficient in a wide box splits either
+    classes = [
+        c for c in enumerate_primitive_classes(4, d, 5, SearchBounds(200, 100)) if c.b < 0
+    ]
+    assert classes
+    assert [c for c in classes if certify_decomposition(4, c) is not None] == []
 
 
 def test_exceptional_set_contents():

@@ -5,8 +5,9 @@ renamed or deleted function leaves its counters at 0 (or makes a ratio
 divide by zero) instead of failing, so this checks every
 ``<module>.<function>.<suffix>`` metric name of BENCHMARK.json against the
 package.  The README's command table is checked against the parser the
-same way, flag by flag, and every README example with an output comment
-is run and compared with its comment.
+same way, flag by flag, its export list against ``__all__``, and every
+README example with an output comment is run and compared with its
+comment.
 """
 
 import argparse
@@ -17,6 +18,7 @@ import re
 import shlex
 from pathlib import Path
 
+import kummer_moduli
 from kummer_moduli import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -108,3 +110,16 @@ def test_readme_cli_examples_print_their_comments(capsys):
         assert capsys.readouterr().out == expected + "\n", code
         checked.append(code)
     assert checked == ["kummer count 2 6 3", "kummer decide 2 1 2", "kummer witness 3 28 8"]
+
+
+def _exported_in_readme(text: str) -> set[str]:
+    # backticked names of the README paragraph that starts "The package exports"
+    (paragraph,) = re.findall(r"^The package exports .*?(?=\n\n)", text, re.M | re.S)
+    return set(re.findall(r"`([^`]+)`", paragraph))
+
+
+def test_readme_export_list_matches_all():
+    text = README.read_text()
+    assert _exported_in_readme(text) == set(kummer_moduli.__all__)
+    stale = text.replace("`is_nonempty`,", "`is_nonempty`, `Witness`,")
+    assert _exported_in_readme(stale) - set(kummer_moduli.__all__) == {"Witness"}

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from kummer_moduli.lattice import (
     RANK,
-    KummerLattice,
     SplitClass,
     bb_square,
     divisibility_split,
@@ -61,56 +60,55 @@ def test_gram_determinant():
     assert _det(gram_matrix(4)) == 10
 
 
-def test_lattice_object():
-    lat = KummerLattice(2)
-    assert lat.gram == gram_matrix(2)
-    with pytest.raises(ValueError):
-        KummerLattice(1)
+def test_lattice_parameter_below_two_rejected():
+    for call in (
+        lambda: gram_matrix(1),
+        lambda: pairing(E1, F1, 1),
+        lambda: bb_square(E1, 1),
+        lambda: divisibility_vector(E1, 1),
+        lambda: SplitClass(1, 1, 0, 1),
+    ):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            call()
 
 
 def test_pairing_examples():
-    lat = KummerLattice(2)
-    assert pairing(E1, F1, lat) == 1
-    assert pairing(DELTA, E1, lat) == 0
-    assert pairing(DELTA, DELTA, lat) == -6
-    assert pairing(DELTA, DELTA, KummerLattice(3)) == -8
+    assert pairing(E1, F1, 2) == 1
+    assert pairing(DELTA, E1, 2) == 0
+    assert pairing(DELTA, DELTA, 2) == -6
+    assert pairing(DELTA, DELTA, 3) == -8
 
 
 def test_square_examples():
-    lat = KummerLattice(2)
-    assert bb_square((1, 2, 0, 0, 0, 0, 0), lat) == 4
-    assert bb_square(DELTA, lat) == -6
+    assert bb_square((1, 2, 0, 0, 0, 0, 0), 2) == 4
+    assert bb_square(DELTA, 2) == -6
 
 
 def test_divisibility_vector_examples():
-    lat = KummerLattice(2)
-    assert divisibility_vector(DELTA, lat) == 6
-    assert divisibility_vector(E1, lat) == 1
-    assert divisibility_vector((2, 2, 0, 0, 0, 0, 0), lat) == 2
+    assert divisibility_vector(DELTA, 2) == 6
+    assert divisibility_vector(E1, 2) == 1
+    assert divisibility_vector((2, 2, 0, 0, 0, 0, 0), 2) == 2
     with pytest.raises(ValueError):
-        divisibility_vector((0,) * 7, lat)
+        divisibility_vector((0,) * 7, 2)
 
 
 def test_vector_length_checked():
-    lat = KummerLattice(2)
     with pytest.raises(ValueError):
-        bb_square((1, 0, 0), lat)
+        bb_square((1, 0, 0), 2)
 
 
 @pytest.mark.parametrize("bad", [1.5, "3"])
 def test_non_integer_coordinate_rejected(bad):
     # int() would truncate 1.5 to 1 and parse "3"; a coordinate must be an integer
-    lat = KummerLattice(2)
     with pytest.raises(ValueError):
-        bb_square((bad, bad, 0, 0, 0, 0, 0), lat)
+        bb_square((bad, bad, 0, 0, 0, 0, 0), 2)
     with pytest.raises(ValueError):
-        divisibility_vector((1, 0, 0, 0, 0, 0, bad), lat)
+        divisibility_vector((1, 0, 0, 0, 0, 0, bad), 2)
 
 
 def test_numpy_integer_coordinates_accepted():
-    lat = KummerLattice(2)
     v = np.array((1, 2, 0, 0, 0, 0, 1), dtype=np.int64)
-    assert bb_square(tuple(v), lat) == bb_square((1, 2, 0, 0, 0, 0, 1), lat) == -2
+    assert bb_square(tuple(v), 2) == bb_square((1, 2, 0, 0, 0, 0, 1), 2) == -2
 
 
 def test_split_class_examples():
@@ -137,35 +135,29 @@ nonzero_coords = coords.filter(lambda v: any(v))
 
 @given(nonzero_coords, st.sampled_from([2, 3, 4]))
 def test_square_always_even(v, n):
-    assert bb_square(v, KummerLattice(n)) % 2 == 0
+    assert bb_square(v, n) % 2 == 0
 
 
 @given(coords, coords, st.sampled_from([2, 3, 4]))
 def test_pairing_symmetric_bilinear(v, w, n):
-    lat = KummerLattice(n)
-    assert pairing(v, w, lat) == pairing(w, v, lat)
+    assert pairing(v, w, n) == pairing(w, v, n)
     total = tuple(x + y for x, y in zip(v, w))
-    assert (
-        bb_square(total, lat)
-        == bb_square(v, lat) + 2 * pairing(v, w, lat) + bb_square(w, lat)
-    )
+    assert bb_square(total, n) == bb_square(v, n) + 2 * pairing(v, w, n) + bb_square(w, n)
 
 
 @given(nonzero_coords, st.integers(-6, 6).filter(lambda k: k != 0), st.sampled_from([2, 3, 4]))
 def test_scaling_laws(v, k, n):
-    lat = KummerLattice(n)
     kv = tuple(k * x for x in v)
-    assert bb_square(kv, lat) == k * k * bb_square(v, lat)
-    assert divisibility_vector(kv, lat) == abs(k) * divisibility_vector(v, lat)
+    assert bb_square(kv, n) == k * k * bb_square(v, n)
+    assert divisibility_vector(kv, n) == abs(k) * divisibility_vector(v, n)
 
 
 @given(nonzero_coords, st.sampled_from([2, 3, 4]))
 def test_divisibility_divides_all_pairings(v, n):
-    lat = KummerLattice(n)
-    div = divisibility_vector(v, lat)
+    div = divisibility_vector(v, n)
     for i in range(7):
         basis = tuple(1 if j == i else 0 for j in range(7))
-        assert pairing(basis, v, lat) % div == 0
+        assert pairing(basis, v, n) % div == 0
 
 
 split_classes = st.builds(
@@ -179,10 +171,9 @@ split_classes = st.builds(
 
 @given(split_classes)
 def test_split_matches_embedded_vector(c):
-    lat = KummerLattice(c.n)
     v = embed(c)
-    assert bb_square(v, lat) == square_split(c)
-    assert divisibility_vector(v, lat) == divisibility_split(c)
+    assert bb_square(v, c.n) == square_split(c)
+    assert divisibility_vector(v, c.n) == divisibility_split(c)
 
 
 @given(split_classes)
@@ -196,8 +187,7 @@ wide_coords = st.tuples(*[st.integers(-50, 50)] * 7)
 @given(wide_coords, wide_coords.filter(lambda v: any(v)), st.integers(2, 30))
 def test_closed_forms_match_gram_matrix(v, w, n):
     g = gram_matrix(n)
-    lat = KummerLattice(n)
     explicit = sum(v[i] * g[i][j] * w[j] for i in range(RANK) for j in range(RANK))
-    assert pairing(v, w, lat) == explicit
+    assert pairing(v, w, n) == explicit
     row_pairings = [sum(g[i][j] * w[j] for j in range(RANK)) for i in range(RANK)]
-    assert divisibility_vector(w, lat) == math.gcd(*row_pairings)
+    assert divisibility_vector(w, n) == math.gcd(*row_pairings)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kummer_moduli import oracle
-from kummer_moduli.lattice import KummerLattice, SplitClass, divisibility_vector
-from kummer_moduli.moduli import triples
+from kummer_moduli.lattice import SplitClass, divisibility_vector, gram_matrix
+from kummer_moduli.moduli import component_count, triples
 from kummer_moduli.oracle import (
     SearchBounds,
     default_bounds,
@@ -17,6 +17,7 @@ from kummer_moduli.oracle import (
     enumerate_primitive_classes,
     nonemptiness_crosscheck,
 )
+from kummer_moduli.witness import build_witness
 
 BOX = SearchBounds(20, 20)
 
@@ -42,6 +43,17 @@ def test_enumerate_pinned_under_default_bounds():
         for n, d, t in triples((2, 3, 4), 60)
     )
     assert hashlib.md5(text.encode()).hexdigest() == "86b901ce34f3981574a160c83f19b096"
+
+
+def test_catalog_witness_is_a_class_the_search_finds():
+    checked = 0
+    for n, d, t in triples((2, 3, 4), 300):
+        if t < 2 or component_count(n, d, t).count == 0:
+            continue
+        w = build_witness(n, d, t)
+        assert w in enumerate_primitive_classes(n, d, t, default_bounds(n, d, t)), (n, d, t)
+        checked += 1
+    assert checked == 324
 
 
 def test_enumerate_finds_no_class_in_the_defect_class():
@@ -81,7 +93,7 @@ def test_divisibility_crosscheck_small():
 
 def _wrong_gram(n):
     # not the Kummer form: delta squares to -2n and pairs to 1 with e1
-    rows = [list(row) for row in KummerLattice(n).gram]
+    rows = [list(row) for row in gram_matrix(n)]
     rows[0][6] = rows[6][0] = 1
     rows[6][6] = -2 * n
     return tuple(tuple(row) for row in rows)
@@ -124,7 +136,6 @@ coords = st.tuples(*[st.integers(-40, 40)] * 7).filter(lambda v: any(v))
 @given(coords, st.sampled_from([2, 3, 4]))
 def test_closed_form_matches_gram_ideal(v, n):
     """The gcd formula used by the numpy crosscheck, pinned to the slow path."""
-    lat = KummerLattice(n)
     content = math.gcd(*(abs(x) for x in v[:6])) if any(v[:6]) else 0
     formula = math.gcd(content, 2 * (n + 1) * abs(v[6]))
-    assert divisibility_vector(v, lat) == formula
+    assert divisibility_vector(v, n) == formula

@@ -1,18 +1,14 @@
 import pytest
 
+from kummer_moduli.lattice import SplitClass
 from kummer_moduli.moduli import component_count
-from kummer_moduli.witness import (
-    WitnessShape,
-    build_witness,
-    shape_catalog,
-    verify_witness,
-)
+from kummer_moduli.witness import build_witness, shape_catalog, verify_witness
 
 
 def test_shape_catalog_examples():
-    assert shape_catalog(3, 8) == [WitnessShape(8, -1), WitnessShape(8, -3)]
-    assert shape_catalog(2, 3) == [WitnessShape(3, -1)]
-    assert shape_catalog(4, 5) == [WitnessShape(5, -1), WitnessShape(5, -2)]
+    assert shape_catalog(3, 8) == [(8, -1), (8, -3)]
+    assert shape_catalog(2, 3) == [(3, -1)]
+    assert shape_catalog(4, 5) == [(5, -1), (5, -2)]
 
 
 def test_shape_catalog_non_divisor_is_empty():
@@ -29,12 +25,12 @@ def test_shape_catalog_domain():
 
 def test_shape_catalog_returns_a_fresh_list():
     first = shape_catalog(3, 8)
-    first.append(WitnessShape(1, -1))
-    first[0] = WitnessShape(9, -9)
-    assert shape_catalog(3, 8) == [WitnessShape(8, -1), WitnessShape(8, -3)]
+    first.append((1, -1))
+    first[0] = (9, -9)
+    assert shape_catalog(3, 8) == [(8, -1), (8, -3)]
     assert shape_catalog(3, 8) is not shape_catalog(3, 8)
     empty = shape_catalog(2, 5)
-    empty.append(WitnessShape(5, -1))
+    empty.append((5, -1))
     assert shape_catalog(2, 5) == []
     # the domain errors hold on every call, not only the first
     for _ in range(2):
@@ -58,20 +54,15 @@ def test_catalog_shapes_have_claimed_divisibility():
         for t in range(2, 2 * n + 3):
             if (2 * n + 2) % t != 0:
                 continue
-            for shape in shape_catalog(n, t):
-                assert math.gcd(shape.c_L, 2 * (n + 1) * shape.c_delta) == t
-                assert math.gcd(shape.c_L, shape.c_delta) == 1
+            for c_l, c_delta in shape_catalog(n, t):
+                assert math.gcd(c_l, 2 * (n + 1) * c_delta) == t
+                assert math.gcd(c_l, c_delta) == 1
 
 
 def test_build_witness_examples():
-    w = build_witness(3, 28, 8)
-    assert (w.shape.c_L, w.shape.c_delta, w.d_hat) == (8, -3, 1)
-
-    w = build_witness(2, 5, 2)
-    assert (w.shape.c_L, w.shape.c_delta, w.d_hat) == (2, -1, 2)
-
-    w = build_witness(2, 1, 2)
-    assert (w.shape.c_L, w.shape.c_delta, w.d_hat) == (2, -1, 1)
+    assert build_witness(3, 28, 8) == SplitClass(3, 8, -3, 1)
+    assert build_witness(2, 5, 2) == SplitClass(2, 2, -1, 2)
+    assert build_witness(2, 1, 2) == SplitClass(2, 2, -1, 1)
 
 
 def test_build_witness_requires_nonempty():
@@ -87,7 +78,7 @@ def test_fallback_family_n3_t8():
             continue
         w = build_witness(3, d, 8)
         assert w is not None
-        chosen[d] = (w.shape.c_L, w.shape.c_delta, w.d_hat)
+        chosen[d] = (w.a, w.b, w.d_hat)
     fallback_ds = sorted(d for d, (_, c_delta, _) in chosen.items() if c_delta == -3)
     assert fallback_ds == [28, 92, 156, 220, 284, 348, 412, 476]
     for d in fallback_ds:
@@ -113,3 +104,5 @@ def test_verify_witness_rejects_wrong_target():
     assert verify_witness(w, 2, 5, 2)
     assert not verify_witness(w, 2, 9, 2)
     assert not verify_witness(w, 2, 5, 1)
+    # the same class read in another lattice is not a witness there
+    assert not verify_witness(w, 3, 5, 2)
