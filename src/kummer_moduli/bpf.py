@@ -22,8 +22,6 @@ from .lattice import SplitClass
 from .moduli import component_count
 from .witness import build_witness, verify_witness
 
-DIVISIBILITY_ONE_NOTE = "effective L => L_n base-point-free"
-
 _EXCEPTIONAL_TRIPLES = frozenset(
     {
         (2, 1, 2),
@@ -48,12 +46,15 @@ class Piece:
 
 @dataclass(frozen=True)
 class Certificate:
+    """A route's claim: ``DivisibilityOne`` (no data), or the witness's pieces.
+
+    ``DirectVeryAmple`` is exactly one piece of multiplicity 1 and
+    ``Decomposition`` several; both carry the witness's d_hat.
+    """
+
     kind: str  # DivisibilityOne | DirectVeryAmple | Decomposition
-    m: Optional[int] = None
     d_hat: Optional[int] = None
-    f_value: Optional[int] = None
-    pieces: Optional[tuple[Piece, ...]] = None
-    note: Optional[str] = None
+    pieces: tuple[Piece, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -73,12 +74,7 @@ class Verdict:
 
 # the verdicts that carry no per-triple data, shared by every call
 _EMPTY = Verdict("Empty", None, False, 0)
-_DIVISIBILITY_ONE = Verdict(
-    "GenericBPF",
-    Certificate(kind="DivisibilityOne", note=DIVISIBILITY_ONE_NOTE),
-    False,
-    1,
-)
+_DIVISIBILITY_ONE = Verdict("GenericBPF", Certificate("DivisibilityOne"), False, 1)
 
 
 def exceptional_set() -> frozenset[tuple[int, int, int]]:
@@ -99,14 +95,14 @@ def very_ample_bound(m: int, d_hat: int) -> int:
     return 2 * (m - 1) * d_hat - 2
 
 
-def certify_decomposition(n: int, w: SplitClass) -> Certificate | None:
+def certify_decomposition(w: SplitClass) -> Certificate | None:
     """First decomposition of the witness into base-point-free pieces.
 
     The witness c_L*L + c_delta*delta is a ``SplitClass`` with a = c_L
     and b = c_delta.  The candidates are the multisets of p = -c_delta
     pieces k_i*L - delta with k_i >= 2 and sum k_i = c_L, in descending
     lexicographic order of the descending part tuple; one qualifies when
-    every piece passes the f-bound against n.  The first qualifying one
+    every piece passes the f-bound against n = w.n.  The first qualifying one
     has a closed form:
 
     1. f(k*L) = 2(k-1)*d_hat - 2 is increasing in k (d_hat >= 1), so a
@@ -118,9 +114,9 @@ def certify_decomposition(n: int, w: SplitClass) -> Certificate | None:
        if top < k0, every tuple has a part below k0 and none qualifies.
 
     One piece gives a ``DirectVeryAmple`` certificate, several a
-    ``Decomposition``.
+    ``Decomposition``; parts of multiplicity 0 are dropped.
     """
-    p, d_hat = -w.b, w.d_hat
+    n, p, d_hat = w.n, -w.b, w.d_hat
     if p < 1 or d_hat < 1:
         raise ValueError(
             f"certification needs c_delta <= -1 and d_hat >= 1, got {-p} and {d_hat}"
@@ -129,12 +125,9 @@ def certify_decomposition(n: int, w: SplitClass) -> Certificate | None:
     top = w.a - (p - 1) * k0
     if top < k0:
         return None
-    if p == 1:
-        f_value = very_ample_bound(top, d_hat)
-        return Certificate(kind="DirectVeryAmple", m=top, d_hat=d_hat, f_value=f_value)
     parts = ((top, 1), (k0, p - 1)) if top > k0 else ((k0, p),)
-    pieces = tuple(Piece(k, mult, very_ample_bound(k, d_hat)) for k, mult in parts)
-    return Certificate(kind="Decomposition", d_hat=d_hat, pieces=pieces)
+    pieces = tuple(Piece(k, mult, very_ample_bound(k, d_hat)) for k, mult in parts if mult)
+    return Certificate("DirectVeryAmple" if p == 1 else "Decomposition", d_hat, pieces)
 
 
 def decide(n: int, d: int, t: int) -> Verdict:
@@ -148,7 +141,7 @@ def decide(n: int, d: int, t: int) -> Verdict:
             return _DIVISIBILITY_ONE
         return Verdict("GenericBPF", _DIVISIBILITY_ONE.certificate, in_a, count)
     w = build_witness(n, d, t)
-    cert = None if w is None else certify_decomposition(n, w)
+    cert = None if w is None else certify_decomposition(w)
     if cert is None:
         return Verdict("Unknown", None, in_a, count)
     return Verdict("GenericBPF", cert, in_a, count)
@@ -160,23 +153,20 @@ def certificate_is_valid(n: int, d: int, t: int, cert: Certificate) -> bool:
     A certificate checked against a triple it cannot certify (an empty
     moduli space, a decomposition for t = 1, n outside {2, 3, 4}, or
     parameters outside n >= 2, d >= 1, t >= 1) is invalid: the answer is
-    False, not an error.
+    False, not an error.  The kind must be the one ``certify_decomposition``
+    gives the witness: ``DirectVeryAmple`` iff c_delta = -1.
     """
     if cert.kind == "DivisibilityOne":
         return t == 1 and n >= 2 and d >= 1 and component_count(n, d, t).count > 0
-    if cert.kind == "DirectVeryAmple":
-        pieces = None if cert.m is None else (Piece(cert.m, 1, cert.f_value),)
-    elif cert.kind == "Decomposition":
-        pieces = cert.pieces
-    else:
-        return False
-    if not pieces or n not in (2, 3, 4) or t < 2 or component_count(n, d, t).count == 0:
+    pieces = cert.pieces
+    if not pieces or n not in (2, 3, 4) or t < 2 or d < 1 or not component_count(n, d, t).count:
         return False
     w = build_witness(n, d, t)
     if w is None or not verify_witness(w, n, d, t) or cert.d_hat != w.d_hat:
         return False
     return (
-        sum(p.k * p.multiplicity for p in pieces) == w.a
+        cert.kind == ("DirectVeryAmple" if w.b == -1 else "Decomposition")
+        and sum(p.k * p.multiplicity for p in pieces) == w.a
         and sum(p.multiplicity for p in pieces) == -w.b
         and all(p.k >= 2 and p.multiplicity >= 1 for p in pieces)
         and all(p.f_value == very_ample_bound(p.k, w.d_hat) for p in pieces)

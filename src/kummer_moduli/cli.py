@@ -94,7 +94,7 @@ def _certificate_summary(cert) -> str:
     if cert.kind == "DivisibilityOne":
         return "DivisibilityOne"
     if cert.kind == "DirectVeryAmple":
-        return f"DirectVeryAmple f={cert.f_value}"
+        return f"DirectVeryAmple f={cert.pieces[0].f_value}"
     parts = "+".join(f"{p.multiplicity}x{p.k}L" for p in cert.pieces)
     return f"Decomposition {parts}"
 
@@ -111,8 +111,8 @@ def _cmd_decide(args: argparse.Namespace) -> int:
             "certificate": cert.kind if cert else None,
             "in_A": verdict.in_exceptional_set,
         }
-        if cert is not None and cert.f_value is not None:
-            payload["f"] = cert.f_value
+        if cert is not None and cert.kind == "DirectVeryAmple":
+            payload["f"] = cert.pieces[0].f_value
         print(json.dumps(payload))
     else:
         summary = _certificate_summary(verdict.certificate)

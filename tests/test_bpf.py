@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from kummer_moduli.bpf import (
-    DIVISIBILITY_ONE_NOTE,
     Certificate,
     Piece,
     Verdict,
@@ -44,34 +43,34 @@ def test_very_ample_bound_formula(m, d_hat):
 def test_certify_direct_examples():
     # a witness with c_delta = -1 is certified as the one-piece decomposition
     w = build_witness(2, 5, 2)
-    cert = certify_decomposition(2, w)
-    assert cert == Certificate(kind="DirectVeryAmple", m=2, d_hat=w.d_hat, f_value=2)
+    cert = certify_decomposition(w)
+    assert cert == Certificate("DirectVeryAmple", w.d_hat, (Piece(2, 1, 2),))
 
     # f = 0 < n: the bound is too weak for the minimal square
-    assert certify_decomposition(2, build_witness(2, 1, 2)) is None
+    assert certify_decomposition(build_witness(2, 1, 2)) is None
     # f = 2 < 3
-    assert certify_decomposition(3, build_witness(3, 4, 2)) is None
+    assert certify_decomposition(build_witness(3, 4, 2)) is None
 
 
 def test_certify_decomposition_requires_negative_delta_coefficient():
     w = build_witness(2, 5, 2)
     for c_delta in (0, 1):
         with pytest.raises(ValueError):
-            certify_decomposition(2, replace(w, b=c_delta))
+            certify_decomposition(replace(w, b=c_delta))
     for d_hat in (0, -1):
         with pytest.raises(ValueError):
-            certify_decomposition(2, replace(w, d_hat=d_hat))
+            certify_decomposition(replace(w, d_hat=d_hat))
 
 
 def test_certify_decomposition_examples():
-    assert certify_decomposition(3, build_witness(3, 92, 8)) is None
+    assert certify_decomposition(build_witness(3, 92, 8)) is None
 
-    cert = certify_decomposition(3, build_witness(3, 156, 8))
+    cert = certify_decomposition(build_witness(3, 156, 8))
     assert cert is not None
     assert [(p.k, p.multiplicity) for p in cert.pieces] == [(4, 1), (2, 2)]
     assert {p.k: p.f_value for p in cert.pieces} == {4: 16, 2: 4}
 
-    assert certify_decomposition(4, build_witness(4, 55, 10)) is None
+    assert certify_decomposition(build_witness(4, 55, 10)) is None
 
 
 def _partitions_desc(total, parts, max_part):
@@ -86,23 +85,16 @@ def _partitions_desc(total, parts, max_part):
             yield (k, *rest)
 
 
-def _first_qualifying_partition(n, w):
-    """The certificate of the first partition whose every part clears n."""
+def _first_qualifying_partition(w):
+    """The certificate of the first partition whose every part clears w.n."""
     for partition in _partitions_desc(w.a, -w.b, w.a):
-        if all(very_ample_bound(k, w.d_hat) >= n for k in partition):
-            if len(partition) == 1:
-                m = partition[0]
-                return Certificate(
-                    kind="DirectVeryAmple",
-                    m=m,
-                    d_hat=w.d_hat,
-                    f_value=very_ample_bound(m, w.d_hat),
-                )
+        if all(very_ample_bound(k, w.d_hat) >= w.n for k in partition):
             pieces = tuple(
                 Piece(k, partition.count(k), very_ample_bound(k, w.d_hat))
                 for k in sorted(set(partition), reverse=True)
             )
-            return Certificate(kind="Decomposition", d_hat=w.d_hat, pieces=pieces)
+            kind = "DirectVeryAmple" if len(partition) == 1 else "Decomposition"
+            return Certificate(kind, w.d_hat, pieces)
     return None
 
 
@@ -111,7 +103,7 @@ def _first_qualifying_partition(n, w):
 )
 def test_certify_decomposition_matches_partition_search(n, c_L, c_delta, d_hat):
     w = SplitClass(n, c_L, c_delta, d_hat)
-    assert certify_decomposition(n, w) == _first_qualifying_partition(n, w)
+    assert certify_decomposition(w) == _first_qualifying_partition(w)
 
 
 def test_certify_decomposition_at_the_smallest_qualifying_part():
@@ -123,12 +115,12 @@ def test_certify_decomposition_at_the_smallest_qualifying_part():
             for p in range(1, 6):
                 for top in (k0 - 1, k0, k0 + 1):
                     w = SplitClass(n, (p - 1) * k0 + top, -p, d_hat)
-                    cert = certify_decomposition(n, w)
-                    assert cert == _first_qualifying_partition(n, w)
+                    cert = certify_decomposition(w)
+                    assert cert == _first_qualifying_partition(w)
                     if top < k0:
                         assert cert is None
                     elif p == 1:
-                        assert (cert.kind, cert.m) == ("DirectVeryAmple", top)
+                        assert (cert.kind, cert.pieces[0].k) == ("DirectVeryAmple", top)
                     elif top == k0:
                         assert [(q.k, q.multiplicity) for q in cert.pieces] == [(k0, p)]
 
@@ -140,8 +132,8 @@ def test_certify_decomposition_on_census_witnesses():
         w = build_witness(n, d, t)
         if w is None:
             continue
-        cert = certify_decomposition(n, w)
-        assert cert == _first_qualifying_partition(n, w)
+        cert = certify_decomposition(w)
+        assert cert == _first_qualifying_partition(w)
         assert cert is None or certificate_is_valid(n, d, t, cert)
 
 
@@ -153,7 +145,7 @@ def test_no_searched_class_certifies_the_unknown_n4_t5_triples(d):
         c for c in enumerate_primitive_classes(4, d, 5, SearchBounds(200, 100)) if c.b < 0
     ]
     assert classes
-    assert [c for c in classes if certify_decomposition(4, c) is not None] == []
+    assert [c for c in classes if certify_decomposition(c) is not None] == []
 
 
 def test_exceptional_set_contents():
@@ -168,7 +160,7 @@ def test_decide_examples():
     v = decide(5, 7, 1)
     assert v.status == "GenericBPF"
     assert v.certificate.kind == "DivisibilityOne"
-    assert v.certificate.note == DIVISIBILITY_ONE_NOTE
+    assert v.certificate == Certificate("DivisibilityOne")
 
     v = decide(2, 1, 2)
     assert v.status == "Unknown" and v.in_exceptional_set
@@ -186,7 +178,7 @@ def test_decide_discrepant_triple():
     assert v.status == "GenericBPF"
     assert v.in_exceptional_set
     assert v.certificate.kind == "DirectVeryAmple"
-    assert v.certificate.f_value == 6
+    assert v.certificate.pieces[0].f_value == 6
 
 
 def test_decide_decomposition_path():
@@ -213,10 +205,12 @@ def test_certificates_reverify():
 def test_certificate_rejects_broken_certificates():
     direct = decide(2, 5, 2).certificate
     assert certificate_is_valid(2, 5, 2, direct)
+    (piece,) = direct.pieces
     for broken in (
-        replace(direct, m=None),
-        replace(direct, m=1),
-        replace(direct, f_value=direct.f_value + 1),
+        replace(direct, pieces=None),
+        replace(direct, pieces=(Piece(1, 1, 0),)),
+        replace(direct, pieces=(replace(piece, f_value=piece.f_value + 1),)),
+        replace(direct, kind="Decomposition"),
         replace(direct, kind="Bogus"),
     ):
         assert not certificate_is_valid(2, 5, 2, broken)
@@ -246,7 +240,7 @@ def test_certificate_rejects_wrong_triple():
     assert not certificate_is_valid(2, 3, 3, cert)  # empty space
 
 
-@pytest.mark.parametrize("n, d, t", [(1, 4, 1), (2, 0, 1), (2, 4, 0)])
+@pytest.mark.parametrize("n, d, t", [(1, 4, 1), (2, 0, 1), (2, 4, 0), (2, 0, 2), (4, -5, 10)])
 def test_certificate_outside_the_parameter_range_is_false(n, d, t):
     for triple in ((6, 4, 1), (2, 5, 2), (3, 156, 8)):  # the three kinds
         cert = decide(*triple).certificate
@@ -257,7 +251,55 @@ def test_verdicts_pinned():
     text = "".join(
         f"{n},{d},{t},{decide(n, d, t)!r}\n" for n, d, t in triples((2, 3, 4), 500)
     )
-    assert hashlib.md5(text.encode()).hexdigest() == "283df627978c64c67f843058117eb463"
+    assert hashlib.md5(text.encode()).hexdigest() == "3abd87e56b68fa7870d8075a2808a01c"
+
+
+def _fields_line(n, d, t):
+    v = decide(n, d, t)
+    c = v.certificate
+    pieces = " ".join(f"{p.k}x{p.multiplicity}:{p.f_value}" for p in (c.pieces if c else ()))
+    return (
+        f"{n},{d},{t},{v.status},{c.kind if c else ''},{c.d_hat if c else ''},{pieces},"
+        f"{v.in_exceptional_set},{v.components}\n"
+    )
+
+
+def test_verdict_fields_pinned():
+    # the verdicts field by field, so the pin does not depend on the dataclass layout
+    text = "".join(_fields_line(n, d, t) for n, d, t in triples((2, 3, 4), 500))
+    assert hashlib.md5(text.encode()).hexdigest() == "3b325360aec1ea6795786d3dba725ac8"
+
+
+def _mutations(cert):
+    """Certificates that differ from ``cert`` in one claim each."""
+    for kind in {"DivisibilityOne", "DirectVeryAmple", "Decomposition", "Bogus"} - {cert.kind}:
+        yield replace(cert, kind=kind)
+    yield replace(cert, d_hat=cert.d_hat + 1)
+    yield replace(cert, pieces=None)
+    yield replace(cert, pieces=())
+    pieces = cert.pieces
+    for i, piece in enumerate(pieces):
+        for field in ("k", "multiplicity", "f_value"):
+            for step in (1, -1):
+                moved = replace(piece, **{field: getattr(piece, field) + step})
+                yield replace(cert, pieces=(*pieces[:i], moved, *pieces[i + 1 :]))
+        yield replace(cert, pieces=pieces[:i] + pieces[i + 1 :])
+    yield replace(cert, pieces=(*pieces, Piece(2, 1, very_ample_bound(2, cert.d_hat))))
+
+
+def test_certificate_mutations_are_rejected():
+    checked = 0
+    for n, d, t in triples((2, 3, 4), 300):
+        v = decide(n, d, t)
+        if t < 2 or v.status != "GenericBPF":
+            continue
+        cert = v.certificate
+        assert certificate_is_valid(n, d, t, cert)
+        assert not certificate_is_valid(n, d + 1, t, cert)
+        for broken in _mutations(cert):
+            assert certificate_is_valid(n, d, t, broken) is False, ((n, d, t), broken)
+        checked += 1
+    assert checked == 316
 
 
 def test_verdict_carries_the_component_count():
@@ -276,12 +318,7 @@ def test_shared_verdicts_equal_fresh_ones(n, d, data):
     if count == 0:
         fresh = Verdict("Empty", None, in_a, count)
     else:
-        fresh = Verdict(
-            "GenericBPF",
-            Certificate(kind="DivisibilityOne", note=DIVISIBILITY_ONE_NOTE),
-            in_a,
-            count,
-        )
+        fresh = Verdict("GenericBPF", Certificate("DivisibilityOne"), in_a, count)
     verdict = decide(n, d, t)
     assert verdict == fresh
     assert repr(verdict) == repr(fresh)

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 from kummer_moduli import census, cli, oracle
+from kummer_moduli.bpf import decide
+from kummer_moduli.moduli import triples
 from kummer_moduli.oracle import SearchBounds
 
 CMD = [sys.executable, "-m", "kummer_moduli"]
@@ -69,6 +71,20 @@ def test_decide_json():
     assert payload["certificate"] == "DirectVeryAmple"
     assert payload["f"] == 2
     assert payload["in_A"] is False
+
+
+def test_decide_outputs_pinned(capsys):
+    # text and JSON of every non-empty t >= 2 triple: the DirectVeryAmple and
+    # Decomposition lines, the JSON "f" key and the exit codes
+    digest, calls = hashlib.md5(), 0
+    for n, d, t in triples((2, 3, 4), 500):
+        if t < 2 or decide(n, d, t).status == "Empty":
+            continue
+        for extra in ([], ["--format", "json"]):
+            rc = cli.main(["decide", str(n), str(d), str(t), *extra])
+            digest.update(f"{rc}:{capsys.readouterr().out}".encode())
+            calls += 1
+    assert (calls, digest.hexdigest()) == (1078, "bd225ea5e5f8f7b57d4a9f301539b434")
 
 
 def test_csv_format_rejected_for_single_triples():
