@@ -7,7 +7,8 @@ A triple (n, d, t) gets one of three certificate kinds, by two routes:
   pieces k*L - delta, each n-very ample by f(k*L) = 2(k-1)*d_hat - 2 >= n:
   ``Decomposition``, or ``DirectVeryAmple`` for one piece (c_delta = -1).
 
-``Unknown`` means "no route certifies it", never "has base points".
+``Unknown`` means that the witness, which every non-empty triple with
+t >= 2 has, misses the f-bound in its first split; never "has base points".
 The seven-triple exclusion list the routes are measured against is
 returned by :func:`exceptional_set`; a certified member of that list is
 reported with a discrepancy flag downstream, not suppressed.
@@ -132,19 +133,16 @@ def certify_decomposition(w: SplitClass) -> Certificate | None:
 
 def decide(n: int, d: int, t: int) -> Verdict:
     """Verdict for (n, d, t): Empty, GenericBPF with certificate, or Unknown."""
-    in_a = (n, d, t) in _EXCEPTIONAL_TRIPLES
     count = component_count(n, d, t).count
+    # the shared verdicts are exact: every excluded triple is non-empty with
+    # t >= 2, and a non-empty space with t <= 2 has one component
     if count == 0:
-        return Verdict("Empty", None, True, count) if in_a else _EMPTY
+        return _EMPTY
     if t == 1:
-        if count == 1 and not in_a:
-            return _DIVISIBILITY_ONE
-        return Verdict("GenericBPF", _DIVISIBILITY_ONE.certificate, in_a, count)
-    w = build_witness(n, d, t)
-    cert = None if w is None else certify_decomposition(w)
-    if cert is None:
-        return Verdict("Unknown", None, in_a, count)
-    return Verdict("GenericBPF", cert, in_a, count)
+        return _DIVISIBILITY_ONE
+    cert = certify_decomposition(build_witness(n, d, t))
+    status = "Unknown" if cert is None else "GenericBPF"
+    return Verdict(status, cert, (n, d, t) in _EXCEPTIONAL_TRIPLES, count)
 
 
 def certificate_is_valid(n: int, d: int, t: int, cert: Certificate) -> bool:
@@ -153,16 +151,19 @@ def certificate_is_valid(n: int, d: int, t: int, cert: Certificate) -> bool:
     A certificate checked against a triple it cannot certify (an empty
     moduli space, a decomposition for t = 1, n outside {2, 3, 4}, or
     parameters outside n >= 2, d >= 1, t >= 1) is invalid: the answer is
-    False, not an error.  The kind must be the one ``certify_decomposition``
-    gives the witness: ``DirectVeryAmple`` iff c_delta = -1.
+    False, not an error.  A ``DivisibilityOne`` certificate carries no
+    d_hat and no pieces; any other kind must be the one
+    ``certify_decomposition`` gives the witness: ``DirectVeryAmple`` iff
+    c_delta = -1.
     """
     if cert.kind == "DivisibilityOne":
-        return t == 1 and n >= 2 and d >= 1 and component_count(n, d, t).count > 0
+        no_data = cert.d_hat is None and not cert.pieces
+        return no_data and t == 1 and n >= 2 and d >= 1 and component_count(n, d, t).count > 0
     pieces = cert.pieces
     if not pieces or n not in (2, 3, 4) or t < 2 or d < 1 or not component_count(n, d, t).count:
         return False
     w = build_witness(n, d, t)
-    if w is None or not verify_witness(w, n, d, t) or cert.d_hat != w.d_hat:
+    if not verify_witness(w, n, d, t) or cert.d_hat != w.d_hat:
         return False
     return (
         cert.kind == ("DirectVeryAmple" if w.b == -1 else "Decomposition")

@@ -49,11 +49,11 @@ class CensusRow(NamedTuple):
 def build_row(n: int, d: int, t: int) -> CensusRow:
     verdict = decide(n, d, t)
     count, cert, in_a = verdict.components, verdict.certificate, verdict.in_exceptional_set
-    witness = build_witness(n, d, t) if count > 0 and t >= 2 else None
-    if witness is None:
-        c_l = c_delta = d_hat = None
-    else:
+    if count > 0 and t >= 2:
+        witness = build_witness(n, d, t)
         c_l, c_delta, d_hat = witness.a, witness.b, witness.d_hat
+    else:
+        c_l = c_delta = d_hat = None
     return CensusRow(
         n, d, t, count > 0, count, c_l, c_delta, d_hat, verdict.status,
         cert.kind if cert else None, in_a, verdict.status == "GenericBPF" and in_a, cert,
@@ -170,8 +170,7 @@ def suite_witnesses(d_max: int = 500) -> SuiteResult:
         if t == 1 or component_count(n, d, t).count == 0:
             continue
         checked += 1
-        w = build_witness(n, d, t)
-        if w is None or not verify_witness(w, n, d, t):
+        if not verify_witness(build_witness(n, d, t), n, d, t):
             failures.append((n, d, t))
     lines.append(f"checked {checked} non-empty triples with t >= 2, d <= {d_max}")
     for triple in failures:

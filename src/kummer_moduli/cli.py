@@ -10,7 +10,7 @@ Exit codes
 0   success; for ``decide``, verdict GenericBPF
 1   a verification suite found violations
 2   invalid parameters, unknown suite, unwritable output path, closed stdout
-3   verdict Unknown (``decide``), or no witness shape certified (``witness``)
+3   verdict Unknown (``decide`` only)
 4   verdict Empty / empty moduli space
 """
 
@@ -131,9 +131,6 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         print("empty moduli space: no class to construct", file=sys.stderr)
         return 4
     witness = build_witness(args.n, args.d, args.t)
-    if witness is None:
-        print("no certified witness shape for this triple", file=sys.stderr)
-        return 3
     if args.format == "json":
         print(json.dumps({"c_L": witness.a, "c_delta": witness.b, "d_hat": witness.d_hat}))
     else:

@@ -7,8 +7,8 @@ coefficient shapes; the builder solves
     =>  d_hat = (d + (n+1)*c_delta^2) / c_L^2
 
 and accepts the first catalog shape for which d_hat is a positive
-integer.  Which shape fires is a congruence condition on d that the
-census records empirically rather than asserting.
+integer.  Which shape fires is a congruence condition on d mod c_L^2,
+and for every non-empty triple one does (see :func:`build_witness`).
 
 A shape is a pair (c_L, c_delta); a witness is the lattice's
 ``SplitClass(n, a, b, d_hat)`` with a = c_L and b = c_delta.
@@ -16,7 +16,6 @@ A shape is a pair (c_L, c_delta); a witness is the lattice's
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 
 from .lattice import (
@@ -46,12 +45,11 @@ def shape_catalog(n: int, t: int) -> list[tuple[int, int]]:
     return list(_catalog(n, t))
 
 
-@lru_cache(maxsize=32)
 def _catalog(n: int, t: int) -> tuple[tuple[int, int], ...]:
-    """The shapes of :func:`shape_catalog`, computed once per (n, t).
+    """The shapes of :func:`shape_catalog`: none unless t | 2n+2.
 
-    Only the 12 pairs with t | 2n+2 have shapes; the bound keeps calls
-    with other t from growing the cache.
+    Every shape has c_L = t and c_delta prime to t, so its divisibility
+    gcd(t, (2n+2)*c_delta) is t exactly when t | 2n+2.
     """
     if n not in (2, 3, 4):
         raise ValueError(f"witness shapes are only cataloged for n in {{2,3,4}}, got {n}")
@@ -59,21 +57,20 @@ def _catalog(n: int, t: int) -> tuple[tuple[int, int], ...]:
         raise ValueError(
             f"witness classes need t >= 2, got {t}; t = 1 is certified by DivisibilityOne"
         )
-    candidates = [(t, -1)]
-    if (n, t) in _FALLBACK_SHAPES:
-        candidates.append(_FALLBACK_SHAPES[(n, t)])
-    return tuple(
-        (c_l, c_d)
-        for c_l, c_d in candidates
-        if gcd(c_l, 2 * (n + 1) * c_d) == t and gcd(c_l, c_d) == 1
-    )
+    if (2 * n + 2) % t:
+        return ()
+    fallback = _FALLBACK_SHAPES.get((n, t))
+    return ((t, -1), fallback) if fallback else ((t, -1),)
 
 
-def build_witness(n: int, d: int, t: int) -> SplitClass | None:
-    """First catalog shape whose solved d_hat is a positive integer.
+def build_witness(n: int, d: int, t: int) -> SplitClass:
+    """First catalog shape whose solved d_hat is an integer, as a ``SplitClass``.
 
-    The witness c_L*L + c_delta*delta is returned as
-    ``SplitClass(n, c_L, c_delta, d_hat)``; None if no shape fits.
+    Every non-empty (n, d, t) with t >= 2 has one, for every d.  With
+    P = (2n+2)^2, the count depends on d only through d mod P, and, since
+    every shape has c_L = t, a shape fits iff t^2 | d + (n+1)*c_delta^2,
+    which depends on d mod t^2 and t^2 | P; d <= P is checked in the tests.
+    d_hat = numerator / t^2 >= 1 follows from numerator >= d >= 1.
     """
     if not is_nonempty(n, d, t):
         raise ValueError(
@@ -81,10 +78,9 @@ def build_witness(n: int, d: int, t: int) -> SplitClass | None:
         )
     for c_l, c_d in _catalog(n, t):
         numerator = d + (n + 1) * c_d * c_d
-        square = c_l * c_l
-        if numerator % square == 0 and numerator // square >= 1:
-            return SplitClass(n, c_l, c_d, numerator // square)
-    return None
+        if numerator % (c_l * c_l) == 0:
+            return SplitClass(n, c_l, c_d, numerator // (c_l * c_l))
+    raise ArithmeticError(f"no catalog shape fits the non-empty triple (n={n}, d={d}, t={t})")
 
 
 def verify_witness(w: SplitClass, n: int, d: int, t: int) -> bool:

@@ -33,6 +33,8 @@ def test_quadratic_residue_examples():
     assert is_quadratic_residue(1, 4)
     assert is_quadratic_residue(7, 1)
     assert is_quadratic_residue(7, 2)
+    with pytest.raises(ValueError):
+        is_quadratic_residue(3, 0)
 
 
 @given(st.integers(1, 3000))

@@ -130,8 +130,6 @@ def test_certify_decomposition_on_census_witnesses():
         if t == 1 or component_count(n, d, t).count == 0:
             continue
         w = build_witness(n, d, t)
-        if w is None:
-            continue
         cert = certify_decomposition(w)
         assert cert == _first_qualifying_partition(w)
         assert cert is None or certificate_is_valid(n, d, t, cert)
@@ -154,6 +152,19 @@ def test_exceptional_set_contents():
     assert (4, 55, 10) in a_set
     assert (2, 1, 2) in a_set
     assert (2, 5, 2) not in a_set
+
+
+def test_excluded_triples_are_nonempty_with_t_at_least_2():
+    # decide returns the shared Empty and DivisibilityOne verdicts without
+    # looking the triple up in the excluded set
+    for n, d, t in exceptional_set():
+        assert t >= 2 and component_count(n, d, t).count == 1
+
+
+@given(st.integers(2, 10**4), st.integers(1, 10**12), st.sampled_from([1, 2]))
+def test_at_most_one_component_for_t_up_to_2(n, d, t):
+    # the shared DivisibilityOne verdict carries components = 1
+    assert component_count(n, d, t).count <= 1
 
 
 def test_decide_examples():
@@ -300,6 +311,24 @@ def test_certificate_mutations_are_rejected():
             assert certificate_is_valid(n, d, t, broken) is False, ((n, d, t), broken)
         checked += 1
     assert checked == 316
+
+
+def test_divisibility_one_certificates_carry_no_data():
+    plain = Certificate("DivisibilityOne")
+    strays = (
+        Certificate("DivisibilityOne", 1),
+        Certificate("DivisibilityOne", pieces=(Piece(2, 1, 2),)),
+        Certificate("DivisibilityOne", 1, (Piece(2, 1, 2),)),
+    )
+    checked = 0
+    for n, d, t in triples((2, 3, 4), 300):
+        if t != 1:
+            continue
+        assert certificate_is_valid(n, d, t, plain)
+        for stray in strays:
+            assert certificate_is_valid(n, d, t, stray) is False, ((n, d, t), stray)
+        checked += 1
+    assert checked == 900
 
 
 def test_verdict_carries_the_component_count():

@@ -16,7 +16,10 @@ from kummer_moduli.census import (
     census_rows,
     rows_to_csv,
     rows_to_json,
+    suite_connectedness,
+    suite_divisibility,
     suite_exceptional,
+    suite_witnesses,
     worker_count,
 )
 
@@ -217,3 +220,48 @@ def test_exceptional_suite_reports_known_defects():
     text = "\n".join(result.lines)
     assert "(4, 5, 5)" in text and "(4, 30, 5)" in text
     assert "DISCREPANCY (4, 20, 5)" in text
+
+
+def test_divisibility_suite_reports_a_mismatch(monkeypatch):
+    fake = {3: [((1, 0, 0, 0, 0, 0, 1), 2, 1)]}
+    monkeypatch.setattr(census, "divisibility_crosscheck", lambda n, b: fake.get(n, []))
+    result = suite_divisibility()
+    assert result.passed is False
+    assert result.lines == (
+        "n=2 coord_bound=3: 0 mismatch(es)",
+        "n=3 coord_bound=3: 1 mismatch(es)",
+        "  MISMATCH (1, 0, 0, 0, 0, 0, 1): ideal=2 formula=1",
+        "n=4 coord_bound=3: 0 mismatch(es)",
+    )
+
+
+def test_connectedness_suite_reports_a_violation(monkeypatch):
+    fake = {4: [(4, 20, 10, 2)]}
+    monkeypatch.setattr(census, "connectedness_report", lambda n, d_max: fake.get(n, []))
+    result = suite_connectedness(d_max=30)
+    assert result.passed is False
+    assert result.lines == (
+        "n=2 d<=30: 0 violation(s)",
+        "n=3 d<=30: 0 violation(s)",
+        "n=4 d<=30: 1 violation(s)",
+        "  VIOLATION (n=4, d=20, t=10) components=2",
+    )
+
+
+def test_witnesses_suite_reports_a_failure(monkeypatch):
+    verify = census.verify_witness
+    monkeypatch.setattr(
+        census, "verify_witness", lambda w, *triple: triple != (3, 28, 8) and verify(w, *triple)
+    )
+    result = suite_witnesses(d_max=30)
+    assert result.passed is False
+    assert result.lines[1:] == ("  WITNESS FAILURE at (n,d,t)=(3, 28, 8)",)
+
+
+def test_exceptional_suite_reports_an_excluded_triple_that_is_certified_silently(monkeypatch):
+    # (2, 5, 2) is certified, and decide does not flag it: neither Unknown nor discrepant
+    excluded = census.exceptional_set() | {(2, 5, 2)}
+    monkeypatch.setattr(census, "exceptional_set", lambda: excluded)
+    result = suite_exceptional(d_max=10)
+    assert result.passed is False
+    assert "  VIOLATION (2, 5, 2): excluded but neither Unknown nor discrepant" in result.lines

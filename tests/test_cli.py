@@ -87,6 +87,19 @@ def test_decide_outputs_pinned(capsys):
     assert (calls, digest.hexdigest()) == (1078, "bd225ea5e5f8f7b57d4a9f301539b434")
 
 
+def test_witness_outputs_pinned(capsys):
+    # text and JSON of every non-empty t >= 2 triple, with the exit codes
+    digest, calls = hashlib.md5(), 0
+    for n, d, t in triples((2, 3, 4), 500):
+        if t < 2 or decide(n, d, t).status == "Empty":
+            continue
+        for extra in ([], ["--format", "json"]):
+            rc = cli.main(["witness", str(n), str(d), str(t), *extra])
+            digest.update(f"{rc}:{capsys.readouterr().out}".encode())
+            calls += 1
+    assert (calls, digest.hexdigest()) == (1078, "cf356d17e812f7050b501f07c8a81fbb")
+
+
 def test_csv_format_rejected_for_single_triples():
     # plain text is the default; json is the only --format of decide and witness
     assert run("decide", "2", "5", "2", "--format", "csv").returncode == 2

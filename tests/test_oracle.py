@@ -89,6 +89,8 @@ def test_default_bounds_cover_delta_coefficient():
 def test_divisibility_crosscheck_small():
     for n in (2, 3, 4):
         assert divisibility_crosscheck(n, 2) == []
+    with pytest.raises(ValueError):
+        divisibility_crosscheck(2, 0)
 
 
 def _wrong_gram(n):

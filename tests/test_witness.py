@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from kummer_moduli import witness
 from kummer_moduli.lattice import SplitClass
-from kummer_moduli.moduli import component_count
+from kummer_moduli.moduli import component_count, is_nonempty
 from kummer_moduli.witness import build_witness, shape_catalog, verify_witness
+
+# t >= 2 divisors of 2n+2: the divisibilities that need a witness class
+_WITNESS_TS = {n: [t for t in range(2, 2 * n + 3) if (2 * n + 2) % t == 0] for n in (2, 3, 4)}
 
 
 def test_shape_catalog_examples():
@@ -106,3 +111,49 @@ def test_verify_witness_rejects_wrong_target():
     assert not verify_witness(w, 2, 5, 1)
     # the same class read in another lattice is not a witness there
     assert not verify_witness(w, 3, 5, 2)
+
+
+def test_witness_totality_for_every_d():
+    """Every non-empty triple with t >= 2 has a catalog witness, for every d.
+
+    Fix n, t and let P = (2n+2)^2.  The count depends on d only through
+    d mod P: gcd(2d, 2n+2) through d mod (n+1), and the count-table key's
+    d1 = 2d/big mod 2*t1 through d mod big*t1, both divisors of P.  Every
+    shape has c_L = t, so whether it fits, t^2 | d + (n+1)*c_delta^2,
+    depends on d mod t^2, which divides P; and d_hat >= d / t^2 > 0.  So
+    the window d in [1, P] settles every d.  The premise is sampled at
+    d + k*P: the count and the chosen (c_L, c_delta) repeat there.
+    """
+    checked = 0
+    for n, ts in _WITNESS_TS.items():
+        period = (2 * n + 2) ** 2
+        for t in ts:
+            assert all(c_l == t for c_l, _ in shape_catalog(n, t))
+            for d in range(1, period + 1):
+                count = component_count(n, d, t)
+                for k in (1, 10**6):
+                    assert component_count(n, d + k * period, t) == count, (n, d, t, k)
+                if count.count == 0:
+                    continue
+                w = build_witness(n, d, t)
+                assert verify_witness(w, n, d, t), (n, d, t)
+                for k in (1, 10**6):
+                    shifted = build_witness(n, d + k * period, t)
+                    assert (shifted.a, shifted.b) == (w.a, w.b), (n, d, t, k)
+                checked += 1
+    assert checked == 71
+
+
+@given(st.sampled_from([2, 3, 4]), st.integers(1, 10**12), st.data())
+def test_witness_exists_for_large_d(n, d, data):
+    ts = [t for t in _WITNESS_TS[n] if is_nonempty(n, d, t)]
+    assume(ts)
+    t = data.draw(st.sampled_from(ts))
+    assert verify_witness(build_witness(n, d, t), n, d, t)
+
+
+def test_build_witness_raises_when_no_shape_fits(monkeypatch):
+    # unreachable for the real catalog (see the totality test); the state is an error
+    monkeypatch.setattr(witness, "_catalog", lambda n, t: ((t, -1),))
+    with pytest.raises(ArithmeticError, match="no catalog shape fits"):
+        build_witness(3, 28, 8)
