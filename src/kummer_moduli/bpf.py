@@ -148,21 +148,24 @@ def decide(n: int, d: int, t: int) -> Verdict:
 def certificate_is_valid(n: int, d: int, t: int, cert: Certificate) -> bool:
     """Re-verify a certificate from scratch; used by the census round-trip.
 
-    A certificate checked against a triple it cannot certify (an empty
-    moduli space, a decomposition for t = 1, n outside {2, 3, 4}, or
-    parameters outside n >= 2, d >= 1, t >= 1) is invalid: the answer is
-    False, not an error.  A ``DivisibilityOne`` certificate carries no
-    d_hat and no pieces; any other kind must be the one
-    ``certify_decomposition`` gives the witness: ``DirectVeryAmple`` iff
+    A certificate checked against a triple it cannot certify is invalid:
+    the answer is False, not an error.  A ``DivisibilityOne`` certificate
+    needs a non-empty space with t = 1, n >= 2 and d >= 1, and carries no
+    d_hat and no pieces.  Any other kind needs a triple on which
+    :func:`build_witness` succeeds, and must be the one
+    ``certify_decomposition`` gives that witness: ``DirectVeryAmple`` iff
     c_delta = -1.
     """
     if cert.kind == "DivisibilityOne":
         no_data = cert.d_hat is None and not cert.pieces
         return no_data and t == 1 and n >= 2 and d >= 1 and component_count(n, d, t).count > 0
     pieces = cert.pieces
-    if not pieces or n not in (2, 3, 4) or t < 2 or d < 1 or not component_count(n, d, t).count:
+    if not pieces:
         return False
-    w = build_witness(n, d, t)
+    try:
+        w = build_witness(n, d, t)
+    except ValueError:
+        return False
     if not verify_witness(w, n, d, t) or cert.d_hat != w.d_hat:
         return False
     return (

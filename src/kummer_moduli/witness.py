@@ -8,7 +8,8 @@ coefficient shapes; the builder solves
 
 and accepts the first catalog shape for which d_hat is a positive
 integer.  Which shape fires is a congruence condition on d mod c_L^2,
-and for every non-empty triple one does (see :func:`build_witness`).
+and one fires exactly when the moduli space is non-empty, so the
+catalog alone decides whether a witness exists (see :func:`build_witness`).
 
 A shape is a pair (c_L, c_delta); a witness is the lattice's
 ``SplitClass(n, a, b, d_hat)`` with a = c_L and b = c_delta.
@@ -26,7 +27,6 @@ from .lattice import (
     embed,
     square_split,
 )
-from .moduli import is_nonempty
 
 # extra multi-delta shapes, keyed by (n, t); the primary shape is always (t, -1)
 _FALLBACK_SHAPES: dict[tuple[int, int], tuple[int, int]] = {
@@ -39,17 +39,8 @@ _FALLBACK_SHAPES: dict[tuple[int, int], tuple[int, int]] = {
 def shape_catalog(n: int, t: int) -> list[tuple[int, int]]:
     """Admissible (c_L, c_delta) witness shapes for (n, t), primary first.
 
-    Every emitted shape is primitive and has divisibility exactly t;
-    returns [] when t does not divide 2n+2 (no shape can work).
-    """
-    return list(_catalog(n, t))
-
-
-def _catalog(n: int, t: int) -> tuple[tuple[int, int], ...]:
-    """The shapes of :func:`shape_catalog`: none unless t | 2n+2.
-
     Every shape has c_L = t and c_delta prime to t, so its divisibility
-    gcd(t, (2n+2)*c_delta) is t exactly when t | 2n+2.
+    gcd(t, (2n+2)*c_delta) is t exactly when t | 2n+2; returns [] otherwise.
     """
     if n not in (2, 3, 4):
         raise ValueError(f"witness shapes are only cataloged for n in {{2,3,4}}, got {n}")
@@ -58,29 +49,26 @@ def _catalog(n: int, t: int) -> tuple[tuple[int, int], ...]:
             f"witness classes need t >= 2, got {t}; t = 1 is certified by DivisibilityOne"
         )
     if (2 * n + 2) % t:
-        return ()
+        return []
     fallback = _FALLBACK_SHAPES.get((n, t))
-    return ((t, -1), fallback) if fallback else ((t, -1),)
+    return [(t, -1), fallback] if fallback else [(t, -1)]
 
 
 def build_witness(n: int, d: int, t: int) -> SplitClass:
     """First catalog shape whose solved d_hat is an integer, as a ``SplitClass``.
 
-    Every non-empty (n, d, t) with t >= 2 has one, for every d.  With
-    P = (2n+2)^2, the count depends on d only through d mod P, and, since
-    every shape has c_L = t, a shape fits iff t^2 | d + (n+1)*c_delta^2,
-    which depends on d mod t^2 and t^2 | P; d <= P is checked in the tests.
-    d_hat = numerator / t^2 >= 1 follows from numerator >= d >= 1.
+    A shape fits iff the moduli space is non-empty, for every d >= 1: with
+    P = (2n+2)^2 the count depends on d only through d mod P, and a shape
+    (t, c_delta) fits iff t^2 | d + (n+1)*c_delta^2, where t^2 | P; the
+    tests check the window d <= P.  d_hat >= 1 follows from numerator >= d.
     """
-    if not is_nonempty(n, d, t):
-        raise ValueError(
-            f"cannot build a witness for the empty moduli space (n={n}, d={d}, t={t})"
-        )
-    for c_l, c_d in _catalog(n, t):
+    if d < 1:
+        raise ValueError(f"witness classes need d >= 1, got {d}")
+    for c_l, c_d in shape_catalog(n, t):
         numerator = d + (n + 1) * c_d * c_d
         if numerator % (c_l * c_l) == 0:
             return SplitClass(n, c_l, c_d, numerator // (c_l * c_l))
-    raise ArithmeticError(f"no catalog shape fits the non-empty triple (n={n}, d={d}, t={t})")
+    raise ValueError(f"cannot build a witness for the empty moduli space (n={n}, d={d}, t={t})")
 
 
 def verify_witness(w: SplitClass, n: int, d: int, t: int) -> bool:

@@ -146,6 +146,55 @@ def test_no_searched_class_certifies_the_unknown_n4_t5_triples(d):
     assert [c for c in classes if certify_decomposition(c) is not None] == []
 
 
+# every non-empty residue class (n, t, r) with t >= 2, r in [1, P], P = (2n+2)^2
+_NONEMPTY_RESIDUES = [
+    (n, t, r)
+    for n in (2, 3, 4)
+    for t in range(2, 2 * n + 3)
+    if (2 * n + 2) % t == 0
+    for r in range(1, (2 * n + 2) ** 2 + 1)
+    if component_count(n, r, t).count
+]
+
+
+def _certified(n, d, t):
+    return certify_decomposition(build_witness(n, d, t)) is not None
+
+
+def test_unknown_set_for_every_d():
+    """The decomposition route leaves exactly 8 triples Unknown, over all d.
+
+    This describes the proof system (the witness and its first split),
+    not the paper's exclusion list, which criterion 1 measures.  Fix n, t
+    and a residue r mod P = (2n+2)^2.  The witness shape (t, c_delta) is
+    then fixed, d_hat grows by P/t^2 per period, k0 does not grow and
+    top = t - (p-1)*k0 does not shrink, so top >= k0, once true, stays
+    true: the Unknown d of a residue class are an initial run of the walk
+    d = r, r+P, ...  Once 2*d_hat >= n+2, k0 = 2 and every catalog shape
+    has top >= 2, so the walk ends within a few periods.
+    """
+    assert len(_NONEMPTY_RESIDUES) == 71
+    unknown = set()
+    for n, t, r in _NONEMPTY_RESIDUES:
+        period = (2 * n + 2) ** 2
+        walk = range(r, r + 8 * period, period)
+        d = next(d for d in walk if _certified(n, d, t))
+        unknown |= {(n, u, t) for u in range(r, d, period)}
+    assert unknown == {
+        (2, 1, 2), (3, 4, 2), (3, 28, 8), (3, 92, 8),
+        (4, 3, 2), (4, 5, 5), (4, 30, 5), (4, 55, 10),
+    }
+
+
+@given(st.sampled_from(_NONEMPTY_RESIDUES), st.integers(0, 10**6), st.integers(1, 10**6))
+def test_certified_stays_certified_a_period_later(residue, j, k):
+    n, t, r = residue
+    period = (2 * n + 2) ** 2
+    d = r + j * period
+    assume(_certified(n, d, t))
+    assert _certified(n, d + k * period, t)
+
+
 def test_exceptional_set_contents():
     a_set = exceptional_set()
     assert len(a_set) == 7

@@ -159,11 +159,12 @@ def test_census_rejects_unsupported_n_before_any_row(monkeypatch):
 
 
 def test_census_per_row_call_budget(monkeypatch):
-    """One component_count per row, plus the two of the witness builds.
+    """Exactly one component_count per row: the one inside decide.
 
-    build_row must still call decide and build_witness itself: the
-    traced benchmark reads those spans under each build_row span, and the
-    worker_count span under census_rows.
+    The witness builds count nothing, since the catalog alone says
+    whether a witness exists.  build_row must still call decide and
+    build_witness itself: the traced benchmark reads those spans under
+    each build_row span, and the worker_count span under census_rows.
     """
     calls = {"component_count": 0, "decide": 0, "build_witness": 0, "worker_count": 0}
 
@@ -183,7 +184,7 @@ def test_census_per_row_call_budget(monkeypatch):
     rows = census_rows([2, 3, 4], 60)
     witness_rows = sum(1 for r in rows if r.nonempty and r.t >= 2)
     assert witness_rows > 0
-    assert calls["component_count"] <= len(rows) + 2 * witness_rows
+    assert calls["component_count"] == len(rows)
     assert calls["decide"] == len(rows)
     assert calls["build_witness"] == witness_rows
     assert calls["worker_count"] == 1

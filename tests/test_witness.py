@@ -1,7 +1,6 @@
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
-from kummer_moduli import witness
 from kummer_moduli.lattice import SplitClass
 from kummer_moduli.moduli import component_count, is_nonempty
 from kummer_moduli.witness import build_witness, shape_catalog, verify_witness
@@ -50,6 +49,11 @@ def test_build_witness_keeps_the_catalog_domain():
         build_witness(5, 4, 2)
     with pytest.raises(ValueError):
         build_witness(2, 1, 1)
+    # d < 1 is rejected before any shape is tried: (2, -3, 2) would fit (2, -1)
+    with pytest.raises(ValueError):
+        build_witness(2, 0, 2)
+    with pytest.raises(ValueError):
+        build_witness(2, -3, 2)
 
 
 def test_catalog_shapes_have_claimed_divisibility():
@@ -82,7 +86,6 @@ def test_fallback_family_n3_t8():
         if component_count(3, d, 8).count == 0:
             continue
         w = build_witness(3, d, 8)
-        assert w is not None
         chosen[d] = (w.a, w.b, w.d_hat)
     fallback_ds = sorted(d for d, (_, c_delta, _) in chosen.items() if c_delta == -3)
     assert fallback_ds == [28, 92, 156, 220, 284, 348, 412, 476]
@@ -100,7 +103,6 @@ def test_witnesses_verify_up_to_200():
                 if component_count(n, d, t).count == 0:
                     continue
                 w = build_witness(n, d, t)
-                assert w is not None, (n, d, t)
                 assert verify_witness(w, n, d, t), (n, d, t)
 
 
@@ -114,17 +116,19 @@ def test_verify_witness_rejects_wrong_target():
 
 
 def test_witness_totality_for_every_d():
-    """Every non-empty triple with t >= 2 has a catalog witness, for every d.
+    """A catalog shape fits (n, d, t), t >= 2, iff the space is non-empty, for every d.
 
     Fix n, t and let P = (2n+2)^2.  The count depends on d only through
     d mod P: gcd(2d, 2n+2) through d mod (n+1), and the count-table key's
     d1 = 2d/big mod 2*t1 through d mod big*t1, both divisors of P.  Every
     shape has c_L = t, so whether it fits, t^2 | d + (n+1)*c_delta^2,
     depends on d mod t^2, which divides P; and d_hat >= d / t^2 > 0.  So
-    the window d in [1, P] settles every d.  The premise is sampled at
-    d + k*P: the count and the chosen (c_L, c_delta) repeat there.
+    the window d in [1, P] settles every d, in both directions: a witness
+    on each non-empty triple, ``ValueError`` on each empty one.  The
+    premise is sampled at d + k*P: the count and the chosen
+    (c_L, c_delta) repeat there.
     """
-    checked = 0
+    checked = empty = 0
     for n, ts in _WITNESS_TS.items():
         period = (2 * n + 2) ** 2
         for t in ts:
@@ -134,6 +138,9 @@ def test_witness_totality_for_every_d():
                 for k in (1, 10**6):
                     assert component_count(n, d + k * period, t) == count, (n, d, t, k)
                 if count.count == 0:
+                    with pytest.raises(ValueError, match="empty moduli space"):
+                        build_witness(n, d, t)
+                    empty += 1
                     continue
                 w = build_witness(n, d, t)
                 assert verify_witness(w, n, d, t), (n, d, t)
@@ -141,19 +148,14 @@ def test_witness_totality_for_every_d():
                     shifted = build_witness(n, d + k * period, t)
                     assert (shifted.a, shifted.b) == (w.a, w.b), (n, d, t, k)
                 checked += 1
-    assert checked == 71
+    assert (checked, empty) == (71, 529)
 
 
 @given(st.sampled_from([2, 3, 4]), st.integers(1, 10**12), st.data())
 def test_witness_exists_for_large_d(n, d, data):
-    ts = [t for t in _WITNESS_TS[n] if is_nonempty(n, d, t)]
-    assume(ts)
-    t = data.draw(st.sampled_from(ts))
-    assert verify_witness(build_witness(n, d, t), n, d, t)
-
-
-def test_build_witness_raises_when_no_shape_fits(monkeypatch):
-    # unreachable for the real catalog (see the totality test); the state is an error
-    monkeypatch.setattr(witness, "_catalog", lambda n, t: ((t, -1),))
-    with pytest.raises(ArithmeticError, match="no catalog shape fits"):
-        build_witness(3, 28, 8)
+    t = data.draw(st.sampled_from(_WITNESS_TS[n]))
+    if is_nonempty(n, d, t):
+        assert verify_witness(build_witness(n, d, t), n, d, t)
+    else:
+        with pytest.raises(ValueError, match="empty moduli space"):
+            build_witness(n, d, t)
