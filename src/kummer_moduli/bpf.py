@@ -9,9 +9,11 @@ A triple (n, d, t) gets one of three certificate kinds, by two routes:
 
 ``Unknown`` means that the witness, which every non-empty triple with
 t >= 2 has, misses the f-bound in its first split; never "has base points".
-The seven-triple exclusion list the routes are measured against is
-returned by :func:`exceptional_set`; a certified member of that list is
-reported with a discrepancy flag downstream, not suppressed.
+For each (n, t), :func:`certification_threshold` is the d from which on
+no triple is Unknown.  The seven-triple exclusion list the routes are
+measured against is returned by :func:`exceptional_set`; a certified
+member of that list is reported with a discrepancy flag downstream, not
+suppressed.
 """
 
 from __future__ import annotations
@@ -143,6 +145,42 @@ def decide(n: int, d: int, t: int) -> Verdict:
     cert = certify_decomposition(build_witness(n, d, t))
     status = "Unknown" if cert is None else "GenericBPF"
     return Verdict(status, cert, (n, d, t) in _EXCEPTIONAL_TRIPLES, count)
+
+
+# certification_threshold's results, by (n, t)
+_THRESHOLDS: dict[tuple[int, int], int] = {}
+
+
+def certification_threshold(n: int, t: int) -> int:
+    """The least D such that ``decide(n, d, t)`` is not Unknown for any d >= D.
+
+    Fix a residue r mod P = (2n+2)^2.  Along d = r, r+P, ... the count
+    and the witness shape (t, c_delta) are fixed (see
+    :func:`witness.build_witness`) and d_hat grows by P/t^2 per step, so
+    k0 = max(2, 1 + ceil((n+2) / (2*d_hat))) does not grow and
+    top = t - (p-1)*k0 does not shrink: once certified, a residue class
+    stays certified, and its Unknown d are an initial run of the walk.
+    Each walk stops at its first certified or Empty d.  Once
+    2*d_hat >= n+2, k0 = 2 for good, so a class still Unknown there is
+    Unknown for every later d; that raises ``ArithmeticError`` rather
+    than walking forever (no catalog shape does this).  Defined for n in
+    {2, 3, 4} and t >= 1; the results are cached, since that domain is
+    finite.
+    """
+    if n not in (2, 3, 4) or t < 1:
+        raise ValueError(f"thresholds are defined for n in {{2,3,4}} and t >= 1, got n={n}, t={t}")
+    threshold = _THRESHOLDS.get((n, t))
+    if threshold is None:
+        period, threshold = (2 * n + 2) ** 2, 1
+        for r in range(1, period + 1):
+            d = r
+            while decide(n, d, t).status == "Unknown":
+                if 2 * build_witness(n, d, t).d_hat >= n + 2:
+                    raise ArithmeticError(f"(n={n}, d={d}, t={t}) stays Unknown at every d + k*{period}")
+                threshold = max(threshold, d + 1)
+                d += period
+        _THRESHOLDS[n, t] = threshold
+    return threshold
 
 
 def certificate_is_valid(n: int, d: int, t: int, cert: Certificate) -> bool:

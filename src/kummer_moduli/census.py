@@ -6,10 +6,30 @@ An n outside {2, 3, 4} or a d_max < 1 is rejected before any row is
 built.  Rows are pure functions of their triple, so the table is
 byte-identical across runs.
 
+Past a start d of each n, rows are periodic, and the census stops
+building them.  With P = (2n+2)^2, let start(n) be the largest of
+:func:`bpf.certification_threshold` over t, 1 + the largest excluded d
+for n, and P + 1.  Rows with d < start(n) + P come from
+:func:`build_row`; every later row is its template, the row a whole
+number of periods earlier with d in [start(n), start(n) + P), with d,
+d_hat and the certificate moved along.  This is exact because:
+
+* the count and the witness shape depend on d only through d mod P (see
+  :func:`witness.build_witness`), and d_hat grows by k*P/t^2;
+* the verdict of a residue class past its threshold stays certified or
+  Empty (see :func:`bpf.certification_threshold`);
+* no excluded d lies past start(n), so ``in_A`` and ``discrepancy`` stay
+  false.
+
+The certificate is rebuilt by ``certify_decomposition`` on the shifted
+witness, so every row carries the certificate :func:`build_row` gives.
+The floor P + 1 keeps every census with d <= 2P built row by row.
+
 The census runs serially: its rows are pure-Python work, so threads only
-contend for the interpreter lock.  :func:`write_csv` writes each row as
-it is built, so a CSV census streams in memory that stays flat in d_max;
-:func:`census_rows` and the JSON form hold the whole table.
+contend for the interpreter lock.  :func:`write_csv` and
+:func:`write_json` write each row as it is built, so a census streams in
+memory that stays flat in d_max; :func:`census_rows` holds the whole
+table.
 """
 
 from __future__ import annotations
@@ -20,7 +40,14 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
-from .bpf import Certificate, decide, exceptional_set
+from .bpf import (
+    Certificate,
+    certification_threshold,
+    certify_decomposition,
+    decide,
+    exceptional_set,
+)
+from .lattice import SplitClass
 from .moduli import component_count, connectedness_report, triples
 from .oracle import divisibility_crosscheck, nonemptiness_crosscheck
 from .witness import build_witness, verify_witness
@@ -70,13 +97,56 @@ def worker_count() -> int:
     return 1
 
 
+def _template_start(n: int) -> int:
+    """start(n) of the module docstring: where the template period of n begins."""
+    excluded = [d for m, d, _ in exceptional_set() if m == n]
+    return max(
+        (2 * n + 2) ** 2 + 1,
+        1 + max(excluded, default=0),
+        *(certification_threshold(n, t) for _, _, t in triples((n,), 1)),
+    )
+
+
+# n -> (start(n), P), computed once, at import
+_TEMPLATE_PERIOD = {n: (_template_start(n), (2 * n + 2) ** 2) for n in (2, 3, 4)}
+
+
+def _shifted_row(template: CensusRow, d: int) -> CensusRow:
+    """The row at d, from the row ``template`` of the same (n, t) past start(n).
+
+    d - template.d is a multiple of P.  The witness c_L*L + c_delta*delta
+    keeps its shape, and d_hat = (d + (n+1)*c_delta^2) / t^2 grows by
+    (d - template.d) / t^2; the certificate is rebuilt on that witness.
+    """
+    n, d0, t, nonempty, count, c_l, c_delta, d_hat, verdict, kind, in_a, discrepancy, cert = template
+    if d_hat is not None:
+        d_hat += (d - d0) // (t * t)
+        cert = certify_decomposition(SplitClass(n, c_l, c_delta, d_hat))
+    return CensusRow(
+        n, d, t, nonempty, count, c_l, c_delta, d_hat, verdict, kind, in_a, discrepancy, cert
+    )
+
+
 def _stream_rows(n_set: Iterable[int], d_max: int) -> Iterator[CensusRow]:
     """The census rows one at a time, sorted by (n, d, t).
 
     The range is checked on the first ``next``, before any row is built.
+    The rows with d in [start(n), start(n) + P) are kept as the templates
+    of the later rows (see the module docstring).
     """
-    for triple in triples(n_set, d_max):
-        yield build_row(*triple)
+    ns = sorted(set(n_set))
+    next(triples(ns, d_max), None)  # the range check
+    for n in ns:
+        start, period = _TEMPLATE_PERIOD[n]
+        window: list[list[CensusRow]] = [[] for _ in range(period)]  # by d - start
+        for triple in triples((n,), min(d_max, start + period - 1)):
+            row = build_row(*triple)
+            if triple[1] >= start:
+                window[triple[1] - start].append(row)
+            yield row
+        for d in range(start + period, d_max + 1):
+            for template in window[(d - start) % period]:
+                yield _shifted_row(template, d)
 
 
 def census_rows(n_set: Iterable[int], d_max: int) -> list[CensusRow]:
@@ -112,9 +182,24 @@ def rows_to_csv(rows: Iterable[CensusRow]) -> str:
     return buffer.getvalue()
 
 
+def write_json(rows: Iterable[CensusRow], handle: TextIO) -> None:
+    """Write the JSON table to ``handle``, one object per row, as it is taken.
+
+    The text is that of ``json.dumps(objects, indent=2) + "\\n"`` over the
+    whole list of row objects, keyed by the CSV header.
+    """
+    opening = "[\n  "
+    for row in rows:
+        handle.write(opening + json.dumps(dict(zip(_FIELDS, row)), indent=2).replace("\n", "\n  "))
+        opening = ",\n  "
+    handle.write("[]\n" if opening == "[\n  " else "\n]\n")
+
+
 def rows_to_json(rows: Iterable[CensusRow]) -> str:
-    payload = [{name: getattr(row, name) for name in _FIELDS} for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    """The JSON table of :func:`write_json` as one string."""
+    buffer = io.StringIO()
+    write_json(rows, buffer)
+    return buffer.getvalue()
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Command-line surface: single-triple queries, census tables, verification.
 
-``kummer census`` writes CSV rows as they are built, so its memory stays
-flat in ``--d-max``; JSON is built in memory first.  ``--out`` is written
-to a temporary file beside it, which replaces it only when the whole
-table has been written, so a failed run leaves an existing file as it was.
+``kummer census`` writes rows as they are built, CSV and JSON alike, so
+its memory stays flat in ``--d-max``.  ``--out`` is written to a
+temporary file beside it, which replaces it only when the whole table
+has been written, so a failed run leaves an existing file as it was.
 
 Exit codes
 ----------
@@ -27,14 +27,13 @@ from typing import Callable, Sequence, TextIO
 from .bpf import decide
 from .census import (
     _stream_rows,
-    census_rows,
-    rows_to_json,
     suite_connectedness,
     suite_divisibility,
     suite_exceptional,
     suite_nonemptiness,
     suite_witnesses,
     write_csv,
+    write_json,
 )
 from .moduli import component_count, triples
 from .witness import build_witness
@@ -154,11 +153,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _write_census(args: argparse.Namespace, handle: TextIO) -> None:
-    """CSV rows are written as they are built; JSON is built in memory first."""
-    if args.format == "json":
-        handle.write(rows_to_json(census_rows(args.n, args.d_max)))
-    else:
-        write_csv(_stream_rows(args.n, args.d_max), handle)
+    """Rows are written as they are built."""
+    write = write_json if args.format == "json" else write_csv
+    write(_stream_rows(args.n, args.d_max), handle)
 
 
 def _replace_on_success(path: str, write: Callable[[TextIO], None]) -> None:

@@ -109,7 +109,7 @@ def test_criterion_5_witness_totality():
         if t < 2 or component_count(n, d, t).count == 0:
             continue
         w = build_witness(n, d, t)
-        if w is None or not verify_witness(w, n, d, t):
+        if not verify_witness(w, n, d, t):
             failures.append((n, d, t))
     _report(5, not failures)
     assert failures == []

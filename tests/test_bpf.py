@@ -6,11 +6,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from kummer_moduli import bpf, witness
 from kummer_moduli.bpf import (
     Certificate,
     Piece,
     Verdict,
     certificate_is_valid,
+    certification_threshold,
     certify_decomposition,
     decide,
     exceptional_set,
@@ -161,29 +163,57 @@ def _certified(n, d, t):
     return certify_decomposition(build_witness(n, d, t)) is not None
 
 
+# every (n, t) of the census, t | 2n+2
+_CENSUS_PAIRS = [(n, t) for n in (2, 3, 4) for t in range(1, 2 * n + 3) if (2 * n + 2) % t == 0]
+
+
+def test_certification_thresholds_pinned():
+    assert {pair: certification_threshold(*pair) for pair in _CENSUS_PAIRS} == {
+        (2, 1): 1, (2, 2): 2, (2, 3): 1, (2, 6): 1,
+        (3, 1): 1, (3, 2): 5, (3, 4): 1, (3, 8): 93,
+        (4, 1): 1, (4, 2): 4, (4, 5): 31, (4, 10): 56,
+    }
+
+
 def test_unknown_set_for_every_d():
     """The decomposition route leaves exactly 8 triples Unknown, over all d.
 
     This describes the proof system (the witness and its first split),
-    not the paper's exclusion list, which criterion 1 measures.  Fix n, t
-    and a residue r mod P = (2n+2)^2.  The witness shape (t, c_delta) is
-    then fixed, d_hat grows by P/t^2 per period, k0 does not grow and
-    top = t - (p-1)*k0 does not shrink, so top >= k0, once true, stays
-    true: the Unknown d of a residue class are an initial run of the walk
-    d = r, r+P, ...  Once 2*d_hat >= n+2, k0 = 2 and every catalog shape
-    has top >= 2, so the walk ends within a few periods.
+    not the paper's exclusion list, which criterion 1 measures.  Past
+    certification_threshold(n, t) no d is Unknown (its docstring gives
+    the monotonicity argument), so the d below it settle every d.
     """
-    assert len(_NONEMPTY_RESIDUES) == 71
-    unknown = set()
-    for n, t, r in _NONEMPTY_RESIDUES:
-        period = (2 * n + 2) ** 2
-        walk = range(r, r + 8 * period, period)
-        d = next(d for d in walk if _certified(n, d, t))
-        unknown |= {(n, u, t) for u in range(r, d, period)}
+    unknown = {
+        (n, d, t)
+        for n, t in _CENSUS_PAIRS
+        for d in range(1, certification_threshold(n, t))
+        if decide(n, d, t).status == "Unknown"
+    }
     assert unknown == {
         (2, 1, 2), (3, 4, 2), (3, 28, 8), (3, 92, 8),
         (4, 3, 2), (4, 5, 5), (4, 30, 5), (4, 55, 10),
     }
+
+
+@given(st.sampled_from(_CENSUS_PAIRS), st.integers(0, 10**9))
+def test_decide_is_never_unknown_past_the_threshold(pair, offset):
+    n, t = pair
+    assert decide(n, certification_threshold(n, t) + offset, t).status != "Unknown"
+
+
+def test_certification_threshold_raises_on_a_shape_that_never_certifies(monkeypatch):
+    # 2L - 3delta fits wherever 2L - delta does, and has top = 2 - 2*k0 < 2
+    # for every d_hat: the walk must stop at k0 = 2 instead of looping
+    monkeypatch.setattr(bpf, "_THRESHOLDS", {})
+    monkeypatch.setattr(witness, "shape_catalog", lambda n, t: [(2, -3)])
+    with pytest.raises(ArithmeticError):
+        certification_threshold(2, 2)
+
+
+@pytest.mark.parametrize("n, t", [(5, 1), (1, 2), (2, 0)])
+def test_certification_threshold_domain(n, t):
+    with pytest.raises(ValueError):
+        certification_threshold(n, t)
 
 
 @given(st.sampled_from(_NONEMPTY_RESIDUES), st.integers(0, 10**6), st.integers(1, 10**6))

@@ -16,6 +16,8 @@ from kummer_moduli.census import (
     census_rows,
     rows_to_csv,
     rows_to_json,
+    _shifted_row,
+    _stream_rows,
     suite_connectedness,
     suite_divisibility,
     suite_exceptional,
@@ -161,10 +163,11 @@ def test_census_rejects_unsupported_n_before_any_row(monkeypatch):
 def test_census_per_row_call_budget(monkeypatch):
     """Exactly one component_count per row: the one inside decide.
 
-    The witness builds count nothing, since the catalog alone says
-    whether a witness exists.  build_row must still call decide and
-    build_witness itself: the traced benchmark reads those spans under
-    each build_row span, and the worker_count span under census_rows.
+    At d <= 60 no row is templated: every row comes from build_row.  The
+    witness builds count nothing, since the catalog alone says whether a
+    witness exists.  build_row must still call decide and build_witness
+    itself: the traced benchmark reads those spans under each build_row
+    span, and the worker_count span under census_rows.
     """
     calls = {"component_count": 0, "decide": 0, "build_witness": 0, "worker_count": 0}
 
@@ -188,6 +191,56 @@ def test_census_per_row_call_budget(monkeypatch):
     assert calls["decide"] == len(rows)
     assert calls["build_witness"] == witness_rows
     assert calls["worker_count"] == 1
+
+
+def test_census_call_counts_at_5000(monkeypatch):
+    """build_row runs on the prefix only; one certify_decomposition per witness row.
+
+    The prefix is d < start(n) + P.  A witness row's certificate comes
+    from decide on the prefix and from the template shift after it.
+    """
+    calls = {"build_row": 0, "certify_decomposition": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(census, "build_row", counting("build_row", census.build_row))
+    counted = counting("certify_decomposition", bpf.certify_decomposition)
+    for module in (bpf, census):
+        monkeypatch.setattr(module, "certify_decomposition", counted)
+
+    rows = census_rows([2, 3, 4], 5000)
+    assert len(rows) == 60000
+    # d <= 72, 156 and 200 for n = 2, 3, 4, four t each
+    assert calls["build_row"] == 4 * (72 + 156 + 200) == 1712
+    assert calls["certify_decomposition"] == sum(r.c_L is not None for r in rows) == 5411
+
+
+def test_stream_equals_build_row_at_1000():
+    assert list(_stream_rows((2, 3, 4), 1000)) == [
+        build_row(*triple) for triple in moduli.triples((2, 3, 4), 1000)
+    ]
+
+
+@given(st.sampled_from(sorted(census._TEMPLATE_PERIOD)), st.data(), st.integers(0, 10**9))
+def test_shifted_row_equals_build_row(n, data, offset):
+    start, period = census._TEMPLATE_PERIOD[n]
+    t = data.draw(st.sampled_from([t for _, _, t in moduli.triples((n,), 1)]))
+    d = start + offset
+    row = _shifted_row(build_row(n, start + offset % period, t), d)
+    assert row == build_row(n, d, t)
+    cert = row.certificate_detail
+    assert cert is None or bpf.certificate_is_valid(n, d, t, cert)
+
+
+@given(st.lists(census_row_values, max_size=5))
+def test_json_matches_one_dump_of_the_table(rows):
+    expected = [{name: getattr(row, name) for name in CSV_HEADER.split(",")} for row in rows]
+    assert rows_to_json(rows) == json.dumps(expected, indent=2) + "\n"
 
 
 def test_census_csv_pinned():

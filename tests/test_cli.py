@@ -264,13 +264,15 @@ def test_census_memory_flat_in_d_max(tmp_path):
     # the child's own peak RSS in kB.  Not ru_maxrss: Linux carries the
     # peak of the spawning process over into the child's, so after an
     # in-process census both runs would read this process's peak.
-    def peak_kb(d_max):
-        argv = ["census", "2", "3", "4", "--d-max", str(d_max), "--out", str(tmp_path / "f")]
+    def peak_kb(d_max, fmt):
+        argv = ["census", "2", "3", "4", "--d-max", str(d_max), "--format", fmt,
+                "--out", str(tmp_path / "f")]
         proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=run_env(),
                               stdout=subprocess.PIPE, text=True, check=True, timeout=120)
         return int(proc.stdout)
 
-    assert peak_kb(20000) - peak_kb(200) < 10 * 1024
+    for fmt in ("csv", "json"):
+        assert peak_kb(20000, fmt) - peak_kb(200, fmt) < 10 * 1024, fmt
 
 
 def test_census_unsupported_n_exit_2():
