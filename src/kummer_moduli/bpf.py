@@ -147,10 +147,6 @@ def decide(n: int, d: int, t: int) -> Verdict:
     return Verdict(status, cert, (n, d, t) in _EXCEPTIONAL_TRIPLES, count)
 
 
-# certification_threshold's results, by (n, t)
-_THRESHOLDS: dict[tuple[int, int], int] = {}
-
-
 def certification_threshold(n: int, t: int) -> int:
     """The least D such that ``decide(n, d, t)`` is not Unknown for any d >= D.
 
@@ -163,23 +159,19 @@ def certification_threshold(n: int, t: int) -> int:
     Each walk stops at its first certified or Empty d.  Once
     2*d_hat >= n+2, k0 = 2 for good, so a class still Unknown there is
     Unknown for every later d; that raises ``ArithmeticError`` rather
-    than walking forever (no catalog shape does this).  Defined for n in
-    {2, 3, 4} and t >= 1; the results are cached, since that domain is
-    finite.
+    than walking forever (no witness that :func:`witness.build_witness`
+    picks does this).  Defined for n in {2, 3, 4} and t >= 1.
     """
     if n not in (2, 3, 4) or t < 1:
         raise ValueError(f"thresholds are defined for n in {{2,3,4}} and t >= 1, got n={n}, t={t}")
-    threshold = _THRESHOLDS.get((n, t))
-    if threshold is None:
-        period, threshold = (2 * n + 2) ** 2, 1
-        for r in range(1, period + 1):
-            d = r
-            while decide(n, d, t).status == "Unknown":
-                if 2 * build_witness(n, d, t).d_hat >= n + 2:
-                    raise ArithmeticError(f"(n={n}, d={d}, t={t}) stays Unknown at every d + k*{period}")
-                threshold = max(threshold, d + 1)
-                d += period
-        _THRESHOLDS[n, t] = threshold
+    period, threshold = (2 * n + 2) ** 2, 1
+    for r in range(1, period + 1):
+        d = r
+        while decide(n, d, t).status == "Unknown":
+            if 2 * build_witness(n, d, t).d_hat >= n + 2:
+                raise ArithmeticError(f"(n={n}, d={d}, t={t}) stays Unknown at every d + k*{period}")
+            threshold = max(threshold, d + 1)
+            d += period
     return threshold
 
 

@@ -7,10 +7,10 @@ built.  Rows are pure functions of their triple, so the table is
 byte-identical across runs.
 
 Past a start d of each n, rows are periodic, and the census stops
-building them.  With P = (2n+2)^2, let start(n) be the largest of
-:func:`bpf.certification_threshold` over t, 1 + the largest excluded d
-for n, and P + 1.  Rows with d < start(n) + P come from
-:func:`build_row`; every later row is its template, the row a whole
+building them.  With P = (2n+2)^2, let start(n) be the larger of
+:func:`bpf.certification_threshold` over t and 1 + the largest excluded
+d for n: 2, 93 and 56 for n = 2, 3, 4.  Rows with d < start(n) + P come
+from :func:`build_row`; every later row is its template, the row a whole
 number of periods earlier with d in [start(n), start(n) + P), with d,
 d_hat and the certificate moved along.  This is exact because:
 
@@ -23,7 +23,6 @@ d_hat and the certificate moved along.  This is exact because:
 
 The certificate is rebuilt by ``certify_decomposition`` on the shifted
 witness, so every row carries the certificate :func:`build_row` gives.
-The floor P + 1 keeps every census with d <= 2P built row by row.
 
 The census runs serially: its rows are pure-Python work, so threads only
 contend for the interpreter lock.  :func:`write_csv` and
@@ -101,7 +100,6 @@ def _template_start(n: int) -> int:
     """start(n) of the module docstring: where the template period of n begins."""
     excluded = [d for m, d, _ in exceptional_set() if m == n]
     return max(
-        (2 * n + 2) ** 2 + 1,
         1 + max(excluded, default=0),
         *(certification_threshold(n, t) for _, _, t in triples((n,), 1)),
     )

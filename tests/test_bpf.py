@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from kummer_moduli import bpf, witness
+from kummer_moduli import bpf
 from kummer_moduli.bpf import (
     Certificate,
     Piece,
@@ -204,8 +204,9 @@ def test_decide_is_never_unknown_past_the_threshold(pair, offset):
 def test_certification_threshold_raises_on_a_shape_that_never_certifies(monkeypatch):
     # 2L - 3delta fits wherever 2L - delta does, and has top = 2 - 2*k0 < 2
     # for every d_hat: the walk must stop at k0 = 2 instead of looping
-    monkeypatch.setattr(bpf, "_THRESHOLDS", {})
-    monkeypatch.setattr(witness, "shape_catalog", lambda n, t: [(2, -3)])
+    monkeypatch.setattr(
+        bpf, "build_witness", lambda n, d, t: SplitClass(n, 2, -3, (d + 9 * (n + 1)) // 4)
+    )
     with pytest.raises(ArithmeticError):
         certification_threshold(2, 2)
 

@@ -161,15 +161,17 @@ def test_census_rejects_unsupported_n_before_any_row(monkeypatch):
 
 
 def test_census_per_row_call_budget(monkeypatch):
-    """Exactly one component_count per row: the one inside decide.
+    """Each build_row call makes one decide and one component_count (inside decide).
 
-    At d <= 60 no row is templated: every row comes from build_row.  The
-    witness builds count nothing, since the catalog alone says whether a
-    witness exists.  build_row must still call decide and build_witness
-    itself: the traced benchmark reads those spans under each build_row
-    span, and the worker_count span under census_rows.
+    A witness row also makes one direct build_witness, which counts no
+    components: the rule alone says whether a witness exists.
+    build_row must call decide and build_witness itself: the traced
+    benchmark reads those spans under each build_row span, and the
+    worker_count span under census_rows.  At d <= 60 the n = 2 rows past
+    d = 37 are templated and make no call at all.
     """
     calls = {"component_count": 0, "decide": 0, "build_witness": 0, "worker_count": 0}
+    per_row = []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -178,18 +180,26 @@ def test_census_per_row_call_budget(monkeypatch):
 
         return wrapper
 
+    def counted_build_row(*args):
+        before = dict(calls)
+        row = build_row(*args)
+        spent = tuple(calls[k] - before[k] for k in ("component_count", "decide", "build_witness"))
+        per_row.append((spent, row.nonempty and row.t >= 2))
+        return row
+
     counted_count = counting("component_count", moduli.component_count)
     for module in (moduli, bpf, census):
         monkeypatch.setattr(module, "component_count", counted_count)
     for name in ("decide", "build_witness", "worker_count"):
         monkeypatch.setattr(census, name, counting(name, getattr(census, name)))
+    monkeypatch.setattr(census, "build_row", counted_build_row)
 
     rows = census_rows([2, 3, 4], 60)
-    witness_rows = sum(1 for r in rows if r.nonempty and r.t >= 2)
-    assert witness_rows > 0
-    assert calls["component_count"] == len(rows)
-    assert calls["decide"] == len(rows)
-    assert calls["build_witness"] == witness_rows
+    assert len(rows) == 4 * 60 * 3 and len(per_row) == 4 * (37 + 60 + 60)
+    assert any(witness_row for _, witness_row in per_row)
+    for spent, witness_row in per_row:
+        assert spent == (1, 1, 1 if witness_row else 0)
+    assert calls["component_count"] == calls["decide"] == len(per_row)
     assert calls["worker_count"] == 1
 
 
@@ -215,8 +225,8 @@ def test_census_call_counts_at_5000(monkeypatch):
 
     rows = census_rows([2, 3, 4], 5000)
     assert len(rows) == 60000
-    # d <= 72, 156 and 200 for n = 2, 3, 4, four t each
-    assert calls["build_row"] == 4 * (72 + 156 + 200) == 1712
+    # d <= 37, 156 and 155 for n = 2, 3, 4, four t each
+    assert calls["build_row"] == 4 * (37 + 156 + 155) == 1392
     assert calls["certify_decomposition"] == sum(r.c_L is not None for r in rows) == 5411
 
 
