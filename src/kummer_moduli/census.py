@@ -11,8 +11,8 @@ building them.  With P = (2n+2)^2, let start(n) be the larger of
 :func:`bpf.certification_threshold` over t and 1 + the largest excluded
 d for n: 2, 93 and 56 for n = 2, 3, 4.  Rows with d < start(n) + P come
 from :func:`build_row`; every later row is its template, the row a whole
-number of periods earlier with d in [start(n), start(n) + P), with d,
-d_hat and the certificate moved along.  This is exact because:
+number of periods earlier with d in [start(n), start(n) + P), with d
+and d_hat moved along.  This is exact because:
 
 * the count and the witness shape depend on d only through d mod P (see
   :func:`witness.build_witness`), and d_hat grows by k*P/t^2;
@@ -21,13 +21,18 @@ d_hat and the certificate moved along.  This is exact because:
 * no excluded d lies past start(n), so ``in_A`` and ``discrepancy`` stay
   false.
 
-The certificate is rebuilt by ``certify_decomposition`` on the shifted
-witness, so every row carries the certificate :func:`build_row` gives.
+One walk over the periods serves two consumers.  :func:`census_rows`
+shifts rows: it rebuilds the certificate of each shifted row by
+``certify_decomposition`` on the shifted witness, so every row carries
+the certificate :func:`build_row` gives.  The CLI's writers shift text:
+a template row is rendered once, as CSV line or JSON object, and each
+later row is that text with the d and d_hat cells replaced, so no
+certificate is rebuilt, since neither format prints one.
 
 The census runs serially: its rows are pure-Python work, so threads only
-contend for the interpreter lock.  :func:`write_csv` and
-:func:`write_json` write each row as it is built, so a census streams in
-memory that stays flat in d_max; :func:`census_rows` holds the whole
+contend for the interpreter lock.  The CLI's writers write the table to
+their handle in batches of a fixed number of rows, so a census streams
+in memory that stays flat in d_max; :func:`census_rows` holds the whole
 table.
 """
 
@@ -37,7 +42,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
+from functools import partial
+from itertools import islice
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO, TypeVar
 
 from .bpf import (
     Certificate,
@@ -54,6 +62,9 @@ from .witness import build_witness, verify_witness
 CSV_HEADER = "n,d,t,nonempty,components,c_L,c_delta,d_hat,verdict,certificate,in_A,discrepancy"
 
 _FIELDS = CSV_HEADER.split(",")
+
+_Item = TypeVar("_Item")
+_Template = TypeVar("_Template")
 
 
 class CensusRow(NamedTuple):
@@ -125,26 +136,41 @@ def _shifted_row(template: CensusRow, d: int) -> CensusRow:
     )
 
 
-def _stream_rows(n_set: Iterable[int], d_max: int) -> Iterator[CensusRow]:
-    """The census rows one at a time, sorted by (n, d, t).
+def _periodic(
+    n_set: Iterable[int],
+    d_max: int,
+    render: Callable[[CensusRow], _Item],
+    template: Callable[[CensusRow, _Item], _Template],
+    shift: Callable[[_Template, int], _Item],
+) -> Iterator[_Item]:
+    """The census one item at a time, sorted by (n, d, t).
 
-    The range is checked on the first ``next``, before any row is built.
-    The rows with d in [start(n), start(n) + P) are kept as the templates
-    of the later rows (see the module docstring).
+    Each row with d < start(n) + P is built by :func:`build_row` and
+    yielded as ``render(row)``.  Every later row is ``shift(template(row,
+    item), d)``, with ``template`` taken once from its template row, with
+    d in [start(n), start(n) + P) (see the module docstring), and only
+    from a row that some later d <= d_max needs.  The range is checked on
+    the first ``next``, before any row is built.
     """
     ns = sorted(set(n_set))
     next(triples(ns, d_max), None)  # the range check
     for n in ns:
         start, period = _TEMPLATE_PERIOD[n]
-        window: list[list[CensusRow]] = [[] for _ in range(period)]  # by d - start
+        window: list[list[_Template]] = [[] for _ in range(period)]  # by d - start
         for triple in triples((n,), min(d_max, start + period - 1)):
             row = build_row(*triple)
-            if triple[1] >= start:
-                window[triple[1] - start].append(row)
-            yield row
+            item = render(row)
+            if start <= triple[1] <= d_max - period:
+                window[triple[1] - start].append(template(row, item))
+            yield item
         for d in range(start + period, d_max + 1):
-            for template in window[(d - start) % period]:
-                yield _shifted_row(template, d)
+            for kept in window[(d - start) % period]:
+                yield shift(kept, d)
+
+
+def _stream_rows(n_set: Iterable[int], d_max: int) -> Iterator[CensusRow]:
+    """The census rows one at a time, each with its certificate."""
+    return _periodic(n_set, d_max, lambda row: row, lambda row, _: row, _shifted_row)
 
 
 def census_rows(n_set: Iterable[int], d_max: int) -> list[CensusRow]:
@@ -153,51 +179,119 @@ def census_rows(n_set: Iterable[int], d_max: int) -> list[CensusRow]:
     return list(_stream_rows(n_set, d_max))
 
 
-def write_csv(rows: Iterable[CensusRow], handle: TextIO) -> None:
-    """Write the CSV table to ``handle``: a header line, then one line per row.
+# writerow returns what its file's write returns, and str(line) is line
+_CSV_LINE = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
-    Each row is written as it is taken from ``rows``.  Booleans are
-    written as ``true``/``false`` and ``None`` as an empty cell; quoting
-    is the ``csv`` module's.
+
+def _csv_line(row: CensusRow) -> str:
+    """The CSV line of a row.
+
+    Booleans are written as ``true``/``false`` and ``None`` as an empty
+    cell; quoting is the ``csv`` module's.
     """
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(_FIELDS)
-    writer.writerows(
-        (
-            n, d, t, "true" if nonempty else "false", components, c_l, c_delta,
-            d_hat, verdict, certificate, "true" if in_a else "false",
-            "true" if discrepancy else "false",
-        )
-        for n, d, t, nonempty, components, c_l, c_delta, d_hat, verdict,
-        certificate, in_a, discrepancy, _ in rows
-    )
+    (n, d, t, nonempty, components, c_l, c_delta, d_hat, verdict, certificate, in_a,
+     discrepancy, _) = row
+    return _CSV_LINE((
+        n, d, t, "true" if nonempty else "false", components, c_l, c_delta, d_hat, verdict,
+        certificate, "true" if in_a else "false", "true" if discrepancy else "false",
+    ))
+
+
+def _json_object(row: CensusRow) -> str:
+    """The JSON object of a row, keyed by the CSV header, as it stands in the table."""
+    return json.dumps(dict(zip(_FIELDS, row)), indent=2).replace("\n", "\n  ")
+
+
+def _text_template(row: CensusRow, text: str, sep: str) -> tuple:
+    """The text of a template row, cut around its d and d_hat, for :func:`_shifted_text`.
+
+    ``text`` splits at ``sep`` into the cells of the row: the CSV cells,
+    or the JSON members.  Cells 1 and 7 end in the values of d and d_hat,
+    which are ints and so never quoted.  In a row with no witness d_hat
+    is empty or null and does not move.
+    """
+    cells = text.split(sep, 8)
+    head = cells[0] + sep + cells[1][: -len(str(row.d))]
+    if row.d_hat is None:
+        return head, sep + sep.join(cells[2:]), "", row.d, None, 1
+    mid = sep + sep.join(cells[2:7]) + sep + cells[7][: -len(str(row.d_hat))]
+    return head, mid, sep + cells[8], row.d, row.d_hat, row.t * row.t
+
+
+def _shifted_text(template: tuple, d: int) -> str:
+    """The text of the row at d, from its template's :func:`_text_template`."""
+    head, mid, tail, d0, d_hat0, step = template
+    if d_hat0 is None:
+        return head + str(d) + mid
+    return head + str(d) + mid + str(d_hat0 + (d - d0) // step) + tail
+
+
+# rows per write: a constant, so a census streams in memory flat in d_max
+_BATCH = 2048
+
+
+def _write_joined(texts: Iterable[str], handle: TextIO, sep: str, opening: str) -> bool:
+    """Write ``texts`` joined by ``sep``, after ``opening``, in batches of ``_BATCH``.
+
+    Nothing is written when ``texts`` is empty; returns whether any was.
+    """
+    texts, wrote = iter(texts), False
+    while batch := list(islice(texts, _BATCH)):
+        handle.write((sep if wrote else opening) + sep.join(batch))
+        wrote = True
+    return wrote
+
+
+def _write_csv_lines(lines: Iterable[str], handle: TextIO) -> None:
+    handle.write(CSV_HEADER + "\n")
+    _write_joined(lines, handle, "", "")
+
+
+def _write_json_objects(objects: Iterable[str], handle: TextIO) -> None:
+    wrote = _write_joined(objects, handle, ",\n  ", "[\n  ")
+    handle.write("\n]\n" if wrote else "[]\n")
 
 
 def rows_to_csv(rows: Iterable[CensusRow]) -> str:
-    """The CSV table of :func:`write_csv` as one string."""
-    buffer = io.StringIO()
-    write_csv(rows, buffer)
-    return buffer.getvalue()
+    """The CSV table of ``rows``: a header line, then one line per row.
 
-
-def write_json(rows: Iterable[CensusRow], handle: TextIO) -> None:
-    """Write the JSON table to ``handle``, one object per row, as it is taken.
-
-    The text is that of ``json.dumps(objects, indent=2) + "\\n"`` over the
-    whole list of row objects, keyed by the CSV header.
+    Booleans are written as ``true``/``false`` and ``None`` as an empty
+    cell; quoting is the ``csv`` module's.
     """
-    opening = "[\n  "
-    for row in rows:
-        handle.write(opening + json.dumps(dict(zip(_FIELDS, row)), indent=2).replace("\n", "\n  "))
-        opening = ",\n  "
-    handle.write("[]\n" if opening == "[\n  " else "\n]\n")
+    buffer = io.StringIO()
+    _write_csv_lines(map(_csv_line, rows), buffer)
+    return buffer.getvalue()
 
 
 def rows_to_json(rows: Iterable[CensusRow]) -> str:
-    """The JSON table of :func:`write_json` as one string."""
+    """The JSON table of ``rows``, one object per row, keyed by the CSV header.
+
+    The text is that of ``json.dumps(objects, indent=2) + "\\n"`` over the
+    whole list of row objects.
+    """
     buffer = io.StringIO()
-    write_json(rows, buffer)
+    _write_json_objects(map(_json_object, rows), buffer)
     return buffer.getvalue()
+
+
+# format -> (the text of a row, the separator of its cells, the writer of the texts)
+_FORMATS = {
+    "csv": (_csv_line, ",", _write_csv_lines),
+    "json": (_json_object, ",\n", _write_json_objects),
+}
+
+
+def _write_table(n_set: Iterable[int], d_max: int, fmt: str, handle: TextIO) -> None:
+    """Write the census table of ``census_rows(n_set, d_max)`` to ``handle`` as ``fmt``.
+
+    The text is that of :func:`rows_to_csv` or :func:`rows_to_json` over
+    those rows.  A built row is rendered as there; every later row is its
+    template's text with d and d_hat moved along, so no certificate is
+    rebuilt: neither format prints one.  The table is written in batches
+    of a fixed number of rows.
+    """
+    render, sep, write = _FORMATS[fmt]
+    write(_periodic(n_set, d_max, render, partial(_text_template, sep=sep), _shifted_text), handle)
 
 
 @dataclass(frozen=True)

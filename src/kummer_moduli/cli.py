@@ -1,7 +1,7 @@
 """Command-line surface: single-triple queries, census tables, verification.
 
-``kummer census`` writes rows as they are built, CSV and JSON alike, so
-its memory stays flat in ``--d-max``.  ``--out`` is written to a
+``kummer census`` writes rows in batches of a fixed size, CSV and JSON
+alike, so its memory stays flat in ``--d-max``.  ``--out`` is written to a
 temporary file beside it, which replaces it only when the whole table
 has been written, so a failed run leaves an existing file as it was.
 
@@ -26,14 +26,12 @@ from typing import Callable, Sequence, TextIO
 
 from .bpf import decide
 from .census import (
-    _stream_rows,
+    _write_table,
     suite_connectedness,
     suite_divisibility,
     suite_exceptional,
     suite_nonemptiness,
     suite_witnesses,
-    write_csv,
-    write_json,
 )
 from .moduli import component_count, triples
 from .witness import build_witness
@@ -153,9 +151,12 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _write_census(args: argparse.Namespace, handle: TextIO) -> None:
-    """Rows are written as they are built."""
-    write = write_json if args.format == "json" else write_csv
-    write(_stream_rows(args.n, args.d_max), handle)
+    """Write the table in batches of a fixed number of rows.
+
+    Rows with d < start(n) + P are built and rendered; every later row is
+    its template's text with d and d_hat shifted (see ``census``).
+    """
+    _write_table(args.n, args.d_max, args.format, handle)
 
 
 def _replace_on_success(path: str, write: Callable[[TextIO], None]) -> None:

@@ -6,7 +6,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kummer_moduli import bpf, census, moduli
 from kummer_moduli.census import (
@@ -245,6 +245,45 @@ def test_shifted_row_equals_build_row(n, data, offset):
     assert row == build_row(n, d, t)
     cert = row.certificate_detail
     assert cert is None or bpf.certificate_is_valid(n, d, t, cert)
+
+
+def _table_text(ns, d_max, fmt):
+    """The text the CLI writes for ``kummer census NS --d-max D --format FMT``."""
+    buffer = io.StringIO()
+    census._write_table(ns, d_max, fmt, buffer)
+    return buffer.getvalue()
+
+
+def _assert_table_text_equals_rows(ns, d_max):
+    rows = census_rows(ns, d_max)
+    assert _table_text(ns, d_max, "csv") == rows_to_csv(rows)
+    assert _table_text(ns, d_max, "json") == rows_to_json(rows)
+
+
+@given(
+    st.sets(st.sampled_from([2, 3, 4]), min_size=1).map(sorted),
+    st.integers(1, 400),
+)
+@example([2, 3, 4], 400)  # shifts the d_hat of witness rows of every n
+def test_shifted_text_equals_rows(ns, d_max):
+    _assert_table_text_equals_rows(ns, d_max)
+
+
+@pytest.mark.parametrize("n", sorted(census._TEMPLATE_PERIOD))
+def test_shifted_text_equals_rows_at_the_first_shift(n):
+    # d_max = start(n) + P - 1 shifts no row of n, start(n) + P the first d
+    start, period = census._TEMPLATE_PERIOD[n]
+    for d_max in (start + period - 1, start + period, start + period + 1):
+        _assert_table_text_equals_rows([n], d_max)
+
+
+def test_batched_writers_match_their_oracles():
+    # 2,400 rows: more than one batch
+    rows = census_rows([2, 3, 4], 200)
+    assert len(rows) > census._BATCH
+    assert rows_to_csv(rows) == _reference_csv(rows)
+    expected = [{name: getattr(row, name) for name in CSV_HEADER.split(",")} for row in rows]
+    assert rows_to_json(rows) == json.dumps(expected, indent=2) + "\n"
 
 
 @given(st.lists(census_row_values, max_size=5))

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from kummer_moduli import census, cli, oracle
+from kummer_moduli import bpf, census, cli, oracle
 from kummer_moduli.bpf import decide
 from kummer_moduli.moduli import triples
 from kummer_moduli.oracle import SearchBounds
@@ -205,11 +205,14 @@ def test_failed_census_leaves_out_alone(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(census, "build_row", failing)
     out = tmp_path / "f"
     out.write_bytes(b"old bytes\n")
-    assert cli.main(["census", "2", "3", "4", "--d-max", "50", "--out", str(out)]) == 2
-    assert len(built) == 100
-    assert out.read_bytes() == b"old bytes\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["f"]
-    assert "row 100 failed" in capsys.readouterr().err
+    for fmt in ("csv", "json"):
+        built.clear()
+        argv = ["census", "2", "3", "4", "--d-max", "50", "--format", fmt, "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert len(built) == 100
+        assert out.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
+        assert "row 100 failed" in capsys.readouterr().err
 
 
 def test_census_out_mode_is_that_of_open(tmp_path):
@@ -250,6 +253,49 @@ def test_census_json_pinned_at_500(capsys):
     assert cli.main(["census", "2", "3", "4", "--d-max", "500", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.md5(out.encode()).hexdigest() == "6f88754b0b18cbe5704b420d4be4e03a"
+
+
+def test_census_json_pinned_at_5000(tmp_path):
+    out = tmp_path / "census.json"
+    argv = ["census", "2", "3", "4", "--d-max", "5000", "--format", "json", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.md5(out.read_bytes()).hexdigest() == "35b3a159126732c44759c604bfd773f1"
+
+
+def test_cli_census_call_counts_at_5000(monkeypatch, tmp_path):
+    """The CLI builds the 1,392 rows with d < start(n) + P and shifts the text of the rest.
+
+    Neither format prints a certificate, so a shifted row rebuilds none:
+    every certify_decomposition call is made inside decide.
+    """
+    calls = {"build_row": 0, "certify_decomposition": 0, "in_decide": 0}
+    deciding = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            if name == "certify_decomposition" and deciding:
+                calls["in_decide"] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def decide_marked(*args):
+        deciding.append(args)
+        try:
+            return decide(*args)
+        finally:
+            deciding.pop()
+
+    monkeypatch.setattr(census, "build_row", counting("build_row", census.build_row))
+    monkeypatch.setattr(census, "decide", decide_marked)
+    counted = counting("certify_decomposition", bpf.certify_decomposition)
+    for module in (bpf, census):
+        monkeypatch.setattr(module, "certify_decomposition", counted)
+
+    argv = ["census", "2", "3", "4", "--d-max", "5000", "--out", str(tmp_path / "f")]
+    assert cli.main(argv) == 0
+    assert calls == {"build_row": 1392, "certify_decomposition": 124, "in_decide": 124}
 
 
 _PEAK_RSS = (
@@ -404,14 +450,15 @@ def test_closed_stdout_is_not_a_failed_check():
 
 
 def test_stdout_closed_in_mid_census():
-    proc = subprocess.Popen(
-        CMD + ["census", "2", "3", "4", "--d-max", "5000"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=run_env(),
-    )
-    assert proc.stdout.readline().startswith(b"n,d,t,")
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 2
-    assert b"Traceback" not in err
+    for fmt, first_line in (("csv", b"n,d,t,"), ("json", b"[\n")):
+        proc = subprocess.Popen(
+            CMD + ["census", "2", "3", "4", "--d-max", "5000", "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=run_env(),
+        )
+        assert proc.stdout.readline().startswith(first_line), fmt
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2, fmt
+        assert b"Traceback" not in err, fmt
