@@ -139,24 +139,17 @@ def _cmd_census(args: argparse.Namespace) -> int:
     # a rejected range raises here, before --out is created or truncated
     next(triples(args.n, args.d_max), None)
     if args.out is None:
-        _write_census(args, sys.stdout)
+        _write_table(args.n, args.d_max, args.format, sys.stdout)
         return 0
     # the output file is created before any row is built
     try:
-        _replace_on_success(args.out, lambda handle: _write_census(args, handle))
+        _replace_on_success(
+            args.out, lambda handle: _write_table(args.n, args.d_max, args.format, handle)
+        )
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def _write_census(args: argparse.Namespace, handle: TextIO) -> None:
-    """Write the table in batches of a fixed number of rows.
-
-    Rows with d < start(n) + P are built and rendered; every later row is
-    its template's text with d and d_hat shifted (see ``census``).
-    """
-    _write_table(args.n, args.d_max, args.format, handle)
 
 
 def _replace_on_success(path: str, write: Callable[[TextIO], None]) -> None:

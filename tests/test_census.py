@@ -17,7 +17,6 @@ from kummer_moduli.census import (
     rows_to_csv,
     rows_to_json,
     _shifted_row,
-    _stream_rows,
     suite_connectedness,
     suite_divisibility,
     suite_exceptional,
@@ -167,8 +166,9 @@ def test_census_per_row_call_budget(monkeypatch):
     components: the rule alone says whether a witness exists.
     build_row must call decide and build_witness itself: the traced
     benchmark reads those spans under each build_row span, and the
-    worker_count span under census_rows.  At d <= 60 the n = 2 rows past
-    d = 37 are templated and make no call at all.
+    worker_count span under census_rows.  The prefix is d < start(n) + P:
+    at d <= 60 the n = 2 rows past d = 37 are shifted from a settled d
+    and make no call at all.
     """
     calls = {"component_count": 0, "decide": 0, "build_witness": 0, "worker_count": 0}
     per_row = []
@@ -206,8 +206,9 @@ def test_census_per_row_call_budget(monkeypatch):
 def test_census_call_counts_at_5000(monkeypatch):
     """build_row runs on the prefix only; one certify_decomposition per witness row.
 
-    The prefix is d < start(n) + P.  A witness row's certificate comes
-    from decide on the prefix and from the template shift after it.
+    The prefix is d < start(n) + P: past it, every d lies in the class of
+    a settled d.  A witness row's certificate comes from decide on the
+    prefix and from the template shift after it.
     """
     calls = {"build_row": 0, "certify_decomposition": 0}
 
@@ -231,14 +232,63 @@ def test_census_call_counts_at_5000(monkeypatch):
 
 
 def test_stream_equals_build_row_at_1000():
-    assert list(_stream_rows((2, 3, 4), 1000)) == [
+    assert census_rows((2, 3, 4), 1000) == [
         build_row(*triple) for triple in moduli.triples((2, 3, 4), 1000)
     ]
 
 
-@given(st.sampled_from(sorted(census._TEMPLATE_PERIOD)), st.data(), st.integers(0, 10**9))
+def _start_and_period(n):
+    """(start(n), P): from start(n) on no d of n is excluded or Unknown, so every d is settled."""
+    excluded = [d for m, d, _ in bpf.exceptional_set() if m == n]
+    start = max(
+        1 + max(excluded, default=0),
+        *(bpf.certification_threshold(n, t) for _, _, t in moduli.triples((n,), 1)),
+    )
+    return start, (2 * n + 2) ** 2
+
+
+def _counting_build_row(monkeypatch, build=build_row):
+    """Patch census.build_row with ``build``; returns the list of triples it is called on."""
+    built = []
+
+    def counted(*triple):
+        built.append(triple)
+        return build(*triple)
+
+    monkeypatch.setattr(census, "build_row", counted)
+    return built
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_census_builds_exactly_the_prefix(monkeypatch, n):
+    # every d >= start(n) is settled, so the first settled period is [start(n), start(n) + P)
+    start, period = _start_and_period(n)
+    built = _counting_build_row(monkeypatch)
+    census_rows([n], start + 2 * period)
+    assert built == list(moduli.triples((n,), start + period - 1))
+
+
+def test_census_shifts_no_class_with_an_unknown_row(monkeypatch):
+    """A class whose rows come out Unknown is built at every d, never shifted.
+
+    The patched build_row gives Unknown at (2, d, 2) for d = 5 mod 36,
+    where the real one certifies; a census that shifted the class from an
+    unchecked threshold would still certify d = 41, 77, ...
+    """
+
+    def patched(n, d, t):
+        row = build_row(n, d, t)
+        if (n, t) == (2, 2) and d % 36 == 5:
+            return row._replace(verdict="Unknown", certificate=None, certificate_detail=None)
+        return row
+
+    _counting_build_row(monkeypatch, patched)
+    assert census_rows([2], 200) == [patched(*triple) for triple in moduli.triples((2,), 200)]
+
+
+@given(st.sampled_from([2, 3, 4]), st.data(), st.integers(0, 10**9))
 def test_shifted_row_equals_build_row(n, data, offset):
-    start, period = census._TEMPLATE_PERIOD[n]
+    start, period = _start_and_period(n)
     t = data.draw(st.sampled_from([t for _, _, t in moduli.triples((n,), 1)]))
     d = start + offset
     row = _shifted_row(build_row(n, start + offset % period, t), d)
@@ -269,10 +319,10 @@ def test_shifted_text_equals_rows(ns, d_max):
     _assert_table_text_equals_rows(ns, d_max)
 
 
-@pytest.mark.parametrize("n", sorted(census._TEMPLATE_PERIOD))
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_shifted_text_equals_rows_at_the_first_shift(n):
     # d_max = start(n) + P - 1 shifts no row of n, start(n) + P the first d
-    start, period = census._TEMPLATE_PERIOD[n]
+    start, period = _start_and_period(n)
     for d_max in (start + period - 1, start + period, start + period + 1):
         _assert_table_text_equals_rows([n], d_max)
 

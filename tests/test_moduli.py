@@ -258,6 +258,34 @@ def test_defect_class_is_empty():
             assert component_count(n, d, 2).count == 0
 
 
+def test_witness_rule_disagrees_with_the_count_on_the_defect_class_only():
+    """ROADMAP item 1 from a second side: the witness rule finds the defect.
+
+    A class t*L - c*delta of square 2d exists for some c prime to t iff
+    t^2 | d + (n+1)*c^2, so iff d mod t^2 is some -(n+1)*c^2.  Over one
+    period of d, for n = 5..20 and t >= 2, this disagrees with a
+    positive count on exactly the defect class (656 of the 5,871
+    positive classes), where the count is wrong.  Item 1's fix empties
+    the set of disagreements.
+    """
+    disagreements, positive = set(), 0
+    for n in range(5, 21):
+        m = 2 * n + 2
+        for t in range(2, m + 1):
+            if m % t:
+                continue
+            fits = {-(n + 1) * c * c % (t * t) for c in range(1, t * t + 1) if gcd(c, t) == 1}
+            for d in range(1, m * m + 1):
+                nonempty = component_count(n, d, t).count > 0
+                positive += nonempty
+                if nonempty != (d % (t * t) in fits):
+                    disagreements.add((n, d, t))
+    assert disagreements == {
+        (n, d, 2) for n in range(5, 21, 4) for d in range(4, (2 * n + 2) ** 2 + 1, 4)
+    }
+    assert (len(disagreements), positive) == (656, 5871)
+
+
 def _euler_phi(x):
     return sum(1 for k in range(1, x + 1) if gcd(k, x) == 1)
 
