@@ -94,10 +94,11 @@ def build_row(n: int, d: int, t: int) -> CensusRow:
         c_l, c_delta, d_hat = witness.a, witness.b, witness.d_hat
     else:
         c_l = c_delta = d_hat = None
-    return CensusRow(
+    # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
+    return tuple.__new__(CensusRow, (
         n, d, t, count > 0, count, c_l, c_delta, d_hat, verdict.status,
         cert.kind if cert else None, in_a, verdict.status == "GenericBPF" and in_a, cert,
-    )
+    ))
 
 
 def worker_count() -> int:
@@ -121,9 +122,9 @@ def _shifted_row(template: CensusRow, d: int) -> CensusRow:
     if d_hat is not None:
         d_hat += (d - d0) // (t * t)
         cert = certify_decomposition(SplitClass(n, c_l, c_delta, d_hat))
-    return CensusRow(
-        n, d, t, nonempty, count, c_l, c_delta, d_hat, verdict, kind, in_a, discrepancy, cert
-    )
+    return tuple.__new__(CensusRow, (
+        n, d, t, nonempty, count, c_l, c_delta, d_hat, verdict, kind, in_a, discrepancy, cert,
+    ))
 
 
 def _periodic(

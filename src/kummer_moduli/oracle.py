@@ -8,7 +8,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .lattice import SplitClass, divisibility_split, gram_matrix
+from .lattice import SplitClass, gram_matrix
 from .moduli import component_count, triples
 
 
@@ -30,26 +30,25 @@ def enumerate_primitive_classes(
     """All primitive split classes of square 2d and divisibility t in the box.
 
     The square equation pins d_hat = (d + (n+1)b^2) / a^2 for a >= 1, so
-    the scan is over (a, b) only.  The a = 0 classes are +-delta, of square
-    -(2n+2) < 0, so they never hit the target square 2d >= 2.  d_hat is
-    solved from the square equation by exact division, so every class
-    found has square 2*a^2*d_hat - (2n+2)*b^2 = 2d and only its
-    divisibility is left to test.  d_hat >= d/a^2 > 0 for every class
-    found, so each one is a polarization pullback.
+    the scan is over (a, b) only, a ascending, then b ascending.  The a = 0
+    classes are +-delta, of square -(2n+2) < 0, never the target 2d >= 2.
+    Exact division gives every class found the square 2d and d_hat >=
+    d/a^2 > 0, so each one is a polarization pullback.  Its divisibility
+    gcd(a, 2(n+1)b) divides a, so a steps over t, 2t, ...; and as b is
+    prime to a, it equals gcd(a, 2n+2), so an a with gcd(a, 2n+2) != t
+    holds no class and its b loop is skipped.
     """
     if n < 2 or d < 1 or t < 1:
         raise ValueError(f"need n >= 2, d >= 1, t >= 1, got ({n}, {d}, {t})")
     found: list[SplitClass] = []
-    for a in range(1, bounds.max_a + 1):
+    for a in range(t, bounds.max_a + 1, t):
+        if gcd(a, 2 * n + 2) != t:
+            continue
+        square = a * a
         for b in range(-bounds.max_b, bounds.max_b + 1):
-            if gcd(a, b) != 1:
-                continue
             numerator = d + (n + 1) * b * b
-            if numerator % (a * a) != 0:
-                continue
-            c = SplitClass(n, a, b, numerator // (a * a))
-            if divisibility_split(c) == t:
-                found.append(c)
+            if numerator % square == 0 and gcd(a, b) == 1:
+                found.append(SplitClass(n, a, b, numerator // square))
     return found
 
 

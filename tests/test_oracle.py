@@ -37,6 +37,36 @@ def test_enumerate_results_are_consistent():
         assert math.gcd(c.a, c.b) == 1
 
 
+def _reference_classes(n, d, t, bounds):
+    # the full-box scan: every primitive (a, b), divisibility tested per class
+    from kummer_moduli.lattice import divisibility_split
+
+    found = []
+    for a in range(1, bounds.max_a + 1):
+        for b in range(-bounds.max_b, bounds.max_b + 1):
+            if math.gcd(a, b) != 1:
+                continue
+            numerator = d + (n + 1) * b * b
+            if numerator % (a * a) != 0:
+                continue
+            c = SplitClass(n, a, b, numerator // (a * a))
+            if divisibility_split(c) == t:
+                found.append(c)
+    return found
+
+
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, 500), st.integers(1, 2 * n + 4))
+    ),
+    st.builds(SearchBounds, st.integers(1, 30), st.integers(0, 30)),
+)
+def test_enumerate_equals_the_full_box_scan(triple, bounds):
+    """t runs past 2n+2 (so t need not divide it) and past max_a; max_b may be 0."""
+    n, d, t = triple
+    assert enumerate_primitive_classes(n, d, t, bounds) == _reference_classes(n, d, t, bounds)
+
+
 def test_enumerate_pinned_under_default_bounds():
     text = "".join(
         f"{n},{d},{t},{enumerate_primitive_classes(n, d, t, default_bounds(n, d, t))!r}\n"
@@ -124,6 +154,28 @@ def test_divisibility_crosscheck_catches_a_wrong_gram_matrix(monkeypatch):
 
 def test_nonemptiness_crosscheck_small():
     assert nonemptiness_crosscheck(2, 50) == []
+
+
+def test_nonemptiness_crosscheck_calls_the_search_once_per_nonempty_triple(monkeypatch):
+    # perfbench/layers.py takes oracle.enumerate_hit_ratio as hits over these
+    # calls and fails when there are none, so the crosscheck must call the
+    # public function once per non-empty triple, not a private early-exit scan
+    calls = []
+
+    def counted(n, d, t, bounds):
+        found = enumerate_primitive_classes(n, d, t, bounds)
+        calls.append(((n, d, t), found))
+        return found
+
+    monkeypatch.setattr(oracle, "enumerate_primitive_classes", counted)
+    for n in (2, 3, 4):
+        calls.clear()
+        assert nonemptiness_crosscheck(n, 100) == []
+        nonempty = [
+            (n, d, t) for _, d, t in triples((n,), 100) if component_count(n, d, t).count > 0
+        ]
+        assert [triple for triple, _ in calls] == nonempty
+        assert all(found for _, found in calls)
 
 
 def test_nonemptiness_crosscheck_fails_on_a_starved_box(monkeypatch):
