@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -150,6 +151,37 @@ def test_divisibility_crosscheck_catches_a_wrong_gram_matrix(monkeypatch):
             mismatches = divisibility_crosscheck(n, b)
             assert mismatches
             assert mismatches == _reference_mismatches(_wrong_gram(n), n, b)
+
+
+def _moving_diagonal_gram(n):
+    # not the Kummer form: e0 squares to 2 and pairs to 4 with e1, so
+    # coordinate 0 enters pairing rows 0 and 1, its own among them
+    rows = [list(row) for row in gram_matrix(n)]
+    rows[0][0] = 2
+    rows[0][1] = rows[1][0] = 4
+    return tuple(tuple(row) for row in rows)
+
+
+def test_divisibility_crosscheck_catches_a_moving_diagonal(monkeypatch):
+    monkeypatch.setattr(oracle, "gram_matrix", _moving_diagonal_gram)
+    for n in (2, 3, 4):
+        for b in (1, 2):
+            mismatches = divisibility_crosscheck(n, b)
+            assert mismatches == _reference_mismatches(_moving_diagonal_gram(n), n, b)
+            firsts = {v[0] for v, _, _ in mismatches}
+            assert 0 in firsts and len(firsts) > 1
+            assert all(any(v) for v, _, _ in mismatches)
+
+
+def test_divisibility_crosscheck_peak_memory_is_below_two_slabs():
+    # numpy reports its buffers to tracemalloc; a slab is 7 int64 rows of 7^6
+    tracemalloc.start()
+    try:
+        divisibility_crosscheck(4, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 7 * 8 * 7**6
 
 
 def test_nonemptiness_crosscheck_small():
