@@ -34,10 +34,10 @@ later row is that text with the d and d_hat cells replaced, so no
 certificate is rebuilt, since neither format prints one.
 
 The census runs serially: its rows are pure-Python work, so threads only
-contend for the interpreter lock.  The CLI's writers write the table to
-their handle in batches of a fixed number of rows, so a census streams
-in memory that stays flat in d_max; :func:`census_rows` holds the whole
-table.
+contend for the interpreter lock.  The writers, :func:`rows_to_csv`,
+:func:`rows_to_json` and the CLI's, share one table of formats and write
+in batches of a fixed number of rows, so a census streams in memory that
+stays flat in d_max; :func:`census_rows` holds the whole table.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .bpf import (
     exceptional_set,
 )
 from .lattice import SplitClass
-from .moduli import component_count, connectedness_report, triples
+from .moduli import component_count, triples
 from .oracle import divisibility_crosscheck, nonemptiness_crosscheck
 from .witness import build_witness, verify_witness
 
@@ -227,26 +227,18 @@ def _shifted_text(template: tuple, d: int) -> str:
 _BATCH = 2048
 
 
-def _write_joined(texts: Iterable[str], handle: TextIO, sep: str, opening: str) -> bool:
-    """Write ``texts`` joined by ``sep``, after ``opening``, in batches of ``_BATCH``.
-
-    Nothing is written when ``texts`` is empty; returns whether any was.
-    """
-    texts, wrote = iter(texts), False
+def _write(texts: Iterable[str], fmt: str, handle: TextIO) -> None:
+    """Write the table of the row ``texts`` in ``fmt`` to ``handle``, ``_BATCH`` rows a write."""
+    _, _, opening, sep, closing, empty = _FORMATS[fmt]
+    texts = iter(texts)
+    batch = list(islice(texts, _BATCH))
+    if not batch:
+        handle.write(empty)
+        return
+    handle.write(opening + sep.join(batch))
     while batch := list(islice(texts, _BATCH)):
-        handle.write((sep if wrote else opening) + sep.join(batch))
-        wrote = True
-    return wrote
-
-
-def _write_csv_lines(lines: Iterable[str], handle: TextIO) -> None:
-    handle.write(CSV_HEADER + "\n")
-    _write_joined(lines, handle, "", "")
-
-
-def _write_json_objects(objects: Iterable[str], handle: TextIO) -> None:
-    wrote = _write_joined(objects, handle, ",\n  ", "[\n  ")
-    handle.write("\n]\n" if wrote else "[]\n")
+        handle.write(sep + sep.join(batch))
+    handle.write(closing)
 
 
 def rows_to_csv(rows: Iterable[CensusRow]) -> str:
@@ -256,7 +248,7 @@ def rows_to_csv(rows: Iterable[CensusRow]) -> str:
     cell; quoting is the ``csv`` module's.
     """
     buffer = io.StringIO()
-    _write_csv_lines(map(_csv_line, rows), buffer)
+    _write(map(_csv_line, rows), "csv", buffer)
     return buffer.getvalue()
 
 
@@ -267,14 +259,15 @@ def rows_to_json(rows: Iterable[CensusRow]) -> str:
     whole list of row objects.
     """
     buffer = io.StringIO()
-    _write_json_objects(map(_json_object, rows), buffer)
+    _write(map(_json_object, rows), "json", buffer)
     return buffer.getvalue()
 
 
-# format -> (the text of a row, the separator of its cells, the writer of the texts)
+# format -> (the text of a row, the separator of its cells,
+#            the table's opening, the separator of its rows, its closing, the empty table)
 _FORMATS = {
-    "csv": (_csv_line, ",", _write_csv_lines),
-    "json": (_json_object, ",\n", _write_json_objects),
+    "csv": (_csv_line, ",", CSV_HEADER + "\n", "", "", CSV_HEADER + "\n"),
+    "json": (_json_object, ",\n", "[\n  ", ",\n  ", "\n]\n", "[]\n"),
 }
 
 
@@ -287,8 +280,9 @@ def _write_table(n_set: Iterable[int], d_max: int, fmt: str, handle: TextIO) -> 
     rebuilt: neither format prints one.  The table is written in batches
     of a fixed number of rows.
     """
-    render, sep, write = _FORMATS[fmt]
-    write(_periodic(n_set, d_max, render, partial(_text_template, sep=sep), _shifted_text), handle)
+    render, sep = _FORMATS[fmt][:2]
+    texts = _periodic(n_set, d_max, render, partial(_text_template, sep=sep), _shifted_text)
+    _write(texts, fmt, handle)
 
 
 @dataclass(frozen=True)
@@ -313,13 +307,21 @@ def suite_divisibility(coord_bound: int = 3) -> SuiteResult:
 
 
 def suite_connectedness(d_max: int = 500) -> SuiteResult:
+    """Every space with n in {2, 3, 4}, d <= d_max and t | 2n+2 has at most one component.
+
+    A t that does not divide 2n+2 never divides gcd(2d, 2n+2), so its
+    space is precondition-empty and needs no check.
+    """
     lines = []
     ok = True
     for n in (2, 3, 4):
-        violations = connectedness_report(n, d_max)
+        violations = []
+        for _, d, t in triples((n,), d_max):
+            count = component_count(n, d, t).count
+            if count not in (0, 1):
+                violations.append(f"  VIOLATION (n={n}, d={d}, t={t}) components={count}")
         lines.append(f"n={n} d<={d_max}: {len(violations)} violation(s)")
-        for n_, d, t, count in violations[:20]:
-            lines.append(f"  VIOLATION (n={n_}, d={d}, t={t}) components={count}")
+        lines += violations[:20]
         ok = ok and not violations
     return SuiteResult("connectedness", ok, tuple(lines))
 
@@ -380,3 +382,13 @@ def suite_exceptional(d_max: int = 500) -> SuiteResult:
     for triple in missing:
         lines.append(f"  VIOLATION {triple}: excluded but neither Unknown nor discrepant")
     return SuiteResult("exceptional", not extra and not missing, tuple(lines))
+
+
+# name -> suite: ``kummer verify <name>`` runs ``SUITES[name]``, with ``--d-max`` if it takes d_max
+SUITES = {
+    "divisibility": suite_divisibility,
+    "connectedness": suite_connectedness,
+    "nonemptiness": suite_nonemptiness,
+    "witnesses": suite_witnesses,
+    "exceptional": suite_exceptional,
+}

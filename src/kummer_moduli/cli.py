@@ -17,6 +17,7 @@ Exit codes
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import stat
@@ -25,24 +26,9 @@ import tempfile
 from typing import Callable, Sequence, TextIO
 
 from .bpf import decide
-from .census import (
-    _write_table,
-    suite_connectedness,
-    suite_divisibility,
-    suite_exceptional,
-    suite_nonemptiness,
-    suite_witnesses,
-)
+from .census import _FORMATS, SUITES, _write_table
 from .moduli import component_count, triples
 from .witness import build_witness
-
-_SUITES = {
-    "divisibility": suite_divisibility,
-    "connectedness": suite_connectedness,
-    "nonemptiness": suite_nonemptiness,
-    "witnesses": suite_witnesses,
-    "exceptional": suite_exceptional,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,25 +41,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, text in (
-        ("count", "component count of the moduli space"),
-        ("decide", "base-point-freeness verdict"),
-        ("witness", "construct a split witness class"),
+    for name, text, run in (
+        ("count", "component count of the moduli space", _cmd_count),
+        ("decide", "base-point-freeness verdict", _cmd_decide),
+        ("witness", "construct a split witness class", _cmd_witness),
     ):
         p_triple = sub.add_parser(name, help=text)
+        p_triple.set_defaults(run=run)
         for arg in ("n", "d", "t"):
             p_triple.add_argument(arg, type=int)
         if name != "count":
             p_triple.add_argument("--format", choices=("json",), default=None)
 
     p_census = sub.add_parser("census", help="emit the (n, d, t) census table")
+    p_census.set_defaults(run=_cmd_census)
     p_census.add_argument("n", type=int, nargs="+")
     p_census.add_argument("--d-max", type=int, required=True)
-    p_census.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_census.add_argument("--format", choices=_FORMATS, default="csv")
     p_census.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=_SUITES)
+    p_verify.set_defaults(run=_cmd_verify)
+    p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--d-max", type=int, default=None)
 
     return parser
@@ -189,12 +178,12 @@ def _replace_on_success(path: str, write: Callable[[TextIO], None]) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    kwargs = {}
+    suite, kwargs = SUITES[args.suite], {}
     if args.d_max is not None:
-        if args.suite == "divisibility":
-            raise ValueError("--d-max does not apply to the divisibility suite")
+        if "d_max" not in inspect.signature(suite).parameters:
+            raise ValueError(f"--d-max does not apply to the {args.suite} suite")
         kwargs["d_max"] = args.d_max
-    result = _SUITES[args.suite](**kwargs)
+    result = suite(**kwargs)
     for line in result.lines:
         print(line)
     print(f"{result.name}: {'PASS' if result.passed else 'FAIL'}")
@@ -202,17 +191,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "count": _cmd_count,
-        "decide": _cmd_decide,
-        "witness": _cmd_witness,
-        "census": _cmd_census,
-        "verify": _cmd_verify,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        code = handlers[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except ValueError as exc:

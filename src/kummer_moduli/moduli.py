@@ -234,17 +234,3 @@ def triples(n_values: Iterable[int], d_max: int) -> Iterator[tuple[int, int, int
             for t in divisors:
                 yield n, d, t
 
-
-def connectedness_report(n: int, d_max: int) -> list[tuple[int, int, int, int]]:
-    """All (n, d, t, count) with d <= d_max, t | 2n+2 and count not in {0, 1}.
-
-    A t that does not divide 2n+2 never divides gcd(2d, 2n+2), so its
-    space is precondition-empty and needs no check.  Expected to be empty
-    for n in {2, 3, 4}.
-    """
-    violations = []
-    for _, d, t in triples((n,), d_max):
-        count = component_count(n, d, t).count
-        if count not in (0, 1):
-            violations.append((n, d, t, count))
-    return violations

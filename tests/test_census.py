@@ -389,8 +389,12 @@ def test_divisibility_suite_reports_a_mismatch(monkeypatch):
 
 
 def test_connectedness_suite_reports_a_violation(monkeypatch):
-    fake = {4: [(4, 20, 10, 2)]}
-    monkeypatch.setattr(census, "connectedness_report", lambda n, d_max: fake.get(n, []))
+    count = census.component_count
+    monkeypatch.setattr(
+        census,
+        "component_count",
+        lambda *triple: moduli.CountResult(2, "2") if triple == (4, 20, 10) else count(*triple),
+    )
     result = suite_connectedness(d_max=30)
     assert result.passed is False
     assert result.lines == (

@@ -1,12 +1,14 @@
 """Command-line checks: end to end through a real subprocess, and in-process through cli.main."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import kummer_moduli
 from kummer_moduli import bpf, census, cli, oracle
 from kummer_moduli.bpf import decide
 from kummer_moduli.moduli import triples
@@ -362,10 +364,22 @@ def test_verify_unknown_suite_exit_2():
     assert run("verify", "nonsense").returncode == 2
 
 
-def test_verify_rejects_flags_the_suite_ignores():
+def test_verify_rejects_flags_the_suite_ignores(capsys):
     proc = run("verify", "divisibility", "--d-max", "10")
     assert proc.returncode == 2
     assert "--d-max" in proc.stderr and proc.stdout == ""
+    # --d-max is refused exactly by the suites whose function takes no d_max
+    assert {name for name in kummer_moduli.__all__ if name.startswith("suite_")} == {
+        f"suite_{name}" for name in census.SUITES
+    }
+    for name, suite in census.SUITES.items():
+        assert suite is getattr(census, f"suite_{name}")
+        code = cli.main(["verify", name, "--d-max", "10"])
+        out, err = capsys.readouterr()
+        if "d_max" in inspect.signature(suite).parameters:
+            assert code in (0, 1) and "--d-max" not in err and out, name
+        else:
+            assert code == 2 and "--d-max" in err and out == "", name
     # --bounds is an option of no suite: the nonemptiness box is always the oracle's
     for suite in ("connectedness", "witnesses", "nonemptiness"):
         proc = run("verify", suite, "--d-max", "10", "--bounds", "1,1,1")

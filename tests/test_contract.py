@@ -5,9 +5,9 @@ renamed or deleted function leaves its counters at 0 (or makes a ratio
 divide by zero) instead of failing, so this checks every
 ``<module>.<function>.<suffix>`` metric name of BENCHMARK.json against the
 package.  The README's command table is checked against the parser the
-same way, flag by flag, its export list against ``__all__``, and every
-README example with an output comment is run and compared with its
-comment.
+same way, flag by flag, its export list against ``__all__``, its suite
+list against ``census.SUITES``, and every README example with an output
+comment is run and compared with its comment.
 """
 
 import argparse
@@ -19,7 +19,7 @@ import shlex
 from pathlib import Path
 
 import kummer_moduli
-from kummer_moduli import cli
+from kummer_moduli import census, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = ROOT / "BENCHMARK.json"
@@ -123,3 +123,17 @@ def test_readme_export_list_matches_all():
     assert _exported_in_readme(text) == set(kummer_moduli.__all__)
     stale = text.replace("`is_nonempty`,", "`is_nonempty`, `Witness`,")
     assert _exported_in_readme(stale) - set(kummer_moduli.__all__) == {"Witness"}
+
+
+def _suites_in_readme(text: str) -> list[str]:
+    # backticked names of the README sentence "Verification suites, one per invocation: ..."
+    pattern = r"^Verification suites, one per invocation: (.*?)\."
+    (sentence,) = re.findall(pattern, text, re.M | re.S)
+    return re.findall(r"`([^`]+)`", sentence)
+
+
+def test_readme_suite_list_matches_the_registry():
+    text = README.read_text()
+    assert _suites_in_readme(text) == list(census.SUITES)
+    stale = text.replace("`exceptional`.", "`exceptional`, `period`.")
+    assert set(_suites_in_readme(stale)) - set(census.SUITES) == {"period"}

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kummer_moduli import moduli
+from kummer_moduli.census import suite_connectedness
 from kummer_moduli.moduli import (
     EMPTY_TAGS,
     CountResult,
     component_count,
-    connectedness_report,
     invariants,
     is_nonempty,
     triples,
@@ -82,16 +82,14 @@ def test_cor_proof_values_t6():
 
 
 def test_connectedness_reports_empty():
-    assert connectedness_report(2, 200) == []
-    assert connectedness_report(3, 200) == []
-    assert connectedness_report(4, 200) == []
+    result = suite_connectedness(200)
+    assert result.passed
+    assert result.lines == tuple(f"n={n} d<=200: 0 violation(s)" for n in (2, 3, 4))
 
 
 def test_connectedness_report_domain():
     with pytest.raises(ValueError):
-        connectedness_report(5, 10)
-    with pytest.raises(ValueError):
-        connectedness_report(2, 0)
+        suite_connectedness(0)
 
 
 def test_triples_walk_divisors_in_order():
