@@ -182,9 +182,11 @@ def certificate_is_valid(n: int, d: int, t: int, cert: Certificate) -> bool:
     the answer is False, not an error.  A ``DivisibilityOne`` certificate
     needs a non-empty space with t = 1, n >= 2 and d >= 1, and carries no
     d_hat and no pieces.  Any other kind needs a triple on which
-    :func:`build_witness` succeeds, and must be the one
-    ``certify_decomposition`` gives that witness: ``DirectVeryAmple`` iff
-    c_delta = -1.
+    :func:`build_witness` succeeds, the witness's d_hat, and the kind
+    ``DirectVeryAmple`` iff c_delta = -1.  Its pieces may be any sound
+    split of that witness, not only the one ``certify_decomposition``
+    gives, in any order: each piece has k >= 2, multiplicity >= 1 and its
+    f-value, which must be at least n, and the pieces sum to the witness.
     """
     if cert.kind == "DivisibilityOne":
         no_data = cert.d_hat is None and not cert.pieces

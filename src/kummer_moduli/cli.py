@@ -11,7 +11,9 @@ Exit codes
 1   a verification suite found violations
 2   invalid parameters, unknown suite, unwritable output path, closed stdout
 3   verdict Unknown (``decide`` only)
-4   verdict Empty / empty moduli space
+4   verdict Empty (``decide``), empty moduli space (``witness``)
+
+``count`` reports an empty space as its answer, components=0, with exit 0.
 """
 
 from __future__ import annotations
@@ -203,7 +205,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the reader has gone; stdout goes to devnull so the final flush cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,9 +9,11 @@ derived integers
     g1 = g / w                   t1 = t / w
 
 through a four-way case split (a, b, c, d), shared by the regimes t > 2
-and t <= 2.  Cases are evaluated in their listed order and the first
-match wins; the tag of the matching case (1a 1b 1c 2 for t > 2, 3a 3b 3c
-3d for t <= 2) is reported alongside the count so tables stay auditable.
+and t <= 2.  The case is the first whose hypotheses hold, and a single
+quadratic-residue test then decides between it and an empty space (see
+:func:`_count_chain` for why this is exact); the tag of the case (1a 1b
+1c 2 for t > 2, 3a 3b 3c 3d for t <= 2) is reported alongside the count
+so tables stay auditable.
 
 The regime t > 2 adds one parity rule to two cases (d1 even in case c,
 t1 even in case d) and counts components multiplicatively:
@@ -142,6 +144,19 @@ def _count_chain(
 ) -> CountResult:
     """The case chain a, b, c, d on the derived integers.
 
+    The case is the first of a-d whose hypotheses hold (none: 4-empty);
+    then one quadratic-residue test, of -d1/denominator mod modulus,
+    decides between that case and 4-empty.  No later case could match
+    once the chosen case's residue test fails, so this is the chain that
+    tries a-d in order, each hypothesis with its residue test:
+
+    * case a needs g1 even, and b, c and d need it odd;
+    * for t > 2, b, c and d need (t1 odd, d1 odd), (t1 odd, d1 even) and
+      t1 even, so at most one of them holds;
+    * for t <= 2, t1 divides t, so it is 1 or 2.  Cases b and c need t1
+      odd, so they test residues mod 2 and mod 1, where every number is
+      a square.
+
     Case c can never match: it needs w, g1 and t1 all odd, but
     w^2 * g1 * t1 = gcd(2d, 2n+2) is even.  It is kept so that the chain
     mirrors the case split of the count theorem.
@@ -150,36 +165,18 @@ def _count_chain(
     # hypotheses shared by cases b, c and d
     coprime_odd_g1 = g1 % 2 == 1 and coprime_t1 and gcd(n1, 2 * t1) == 1
 
-    # the quadratic-residue scan is the costly test: it stays the last conjunct
-    if (
-        g1 % 2 == 0
-        and coprime_t1
-        and gcd(n1, t1) == 1
-        and is_quadratic_residue(_neg_ratio(d1, n1, t1), t1)
-    ):
-        case = 0
-    elif (
-        coprime_odd_g1
-        and t1 % 2 == 1
-        and d1 % 2 == 1
-        and is_quadratic_residue(_neg_ratio(d1, n1, 2 * t1), 2 * t1)
-    ):
-        case = 1
-    elif (
-        coprime_odd_g1
-        and t1 % 2 == 1
-        and w % 2 == 1
-        and (not above_2 or d1 % 2 == 0)
-        and is_quadratic_residue(_neg_ratio(d1, 4 * n1, t1), t1)
-    ):
-        case = 2
-    elif (
-        coprime_odd_g1
-        and (not above_2 or t1 % 2 == 0)
-        and is_quadratic_residue(_neg_ratio(d1, n1, 2 * t1), 2 * t1)
-    ):
-        case = 3
+    # each case's hypotheses make its denominator a unit mod its modulus
+    if g1 % 2 == 0 and coprime_t1 and gcd(n1, t1) == 1:
+        case, denominator, modulus = 0, n1, t1
+    elif coprime_odd_g1 and t1 % 2 == 1 and d1 % 2 == 1:
+        case, denominator, modulus = 1, n1, 2 * t1
+    elif coprime_odd_g1 and t1 % 2 == 1 and w % 2 == 1 and (not above_2 or d1 % 2 == 0):
+        case, denominator, modulus = 2, 4 * n1, t1
+    elif coprime_odd_g1 and (not above_2 or t1 % 2 == 0):
+        case, denominator, modulus = 3, n1, 2 * t1
     else:
+        return _FOUR_EMPTY
+    if not is_quadratic_residue(_neg_ratio(d1, denominator, modulus), modulus):
         return _FOUR_EMPTY
 
     if not above_2:

@@ -107,17 +107,13 @@ def divisibility_crosscheck(
     return mismatches
 
 
-def _ceil_sqrt_ratio(d: int, parts: int) -> int:
-    # smallest m >= 0 with m*m*parts >= d
-    m = isqrt(d // parts)
-    while m * m * parts < d:
-        m += 1
-    return m
-
-
 def default_bounds(n: int, d: int, t: int) -> SearchBounds:
-    """Desk-scale bounds wide enough to rediscover every witness shape."""
-    return SearchBounds(max_a=2 * n + 2 + t, max_b=_ceil_sqrt_ratio(d, n + 1) + 3)
+    """Desk-scale bounds wide enough to rediscover every witness shape.
+
+    max_b is 3 more than the least m with m^2 * (n+1) >= d; for d >= 1
+    that m is isqrt((d-1) // (n+1)) + 1.
+    """
+    return SearchBounds(max_a=2 * n + 2 + t, max_b=isqrt((d - 1) // (n + 1)) + 4)
 
 
 def nonemptiness_crosscheck(n: int, d_max: int) -> list[tuple[int, int, int]]:

@@ -318,6 +318,12 @@ def test_certificate_rejects_broken_certificates():
         (Piece(6, 1, 28), Piece(2, 3, 4), Piece(4, -1, 16)),  # negative multiplicity
     ):
         assert not certificate_is_valid(3, 156, 8, replace(decomposition, pieces=pieces))
+    # any sound split of the witness is accepted, not only the canonical one
+    for pieces in (
+        (Piece(3, 2, 10), Piece(2, 1, 4)),
+        (Piece(2, 1, 4), Piece(4, 1, 16), Piece(2, 1, 4)),  # unsorted
+    ):
+        assert certificate_is_valid(3, 156, 8, Certificate("Decomposition", 3, pieces))
 
 
 def test_certificate_rejects_wrong_triple():

@@ -226,6 +226,27 @@ def _in_defect_class(n, d, t):
     return n % 4 == 1 and t == 2 and d % 4 == 0
 
 
+def test_count_pinned_outside_the_defect_class():
+    """Every (count, tag) for n <= 60, d <= 400, t | 2n+2, pinned by md5.
+
+    The defect class is left out, so ROADMAP items 1 and 2 must keep this
+    digest; it pins the tags past n = 24, where the count-table digest
+    stops.
+    """
+    digest, lines = hashlib.md5(), 0
+    for n in range(2, 61):
+        divisors = [t for t in range(1, 2 * n + 3) if (2 * n + 2) % t == 0]
+        for d in range(1, 401):
+            for t in divisors:
+                if _in_defect_class(n, d, t):
+                    continue
+                result = component_count(n, d, t)
+                digest.update(f"{n},{d},{t},{result.count},{result.case_tag}\n".encode())
+                lines += 1
+    assert lines == 162_600
+    assert digest.hexdigest() == "cce93ab394749b268dc070f18ea52d5b"
+
+
 @settings(max_examples=500)
 @given(st.integers(2, 200), st.data())
 def test_count_matches_the_reference_count(n, data):

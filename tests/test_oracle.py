@@ -117,6 +117,16 @@ def test_default_bounds_cover_delta_coefficient():
             assert bounds.max_b * bounds.max_b * (n + 1) >= d
 
 
+def test_default_bounds_delta_margin_is_exact():
+    # max_b is 3 more than the least m >= 0 with m^2 * (n+1) >= d, not just a cover
+    for n in range(2, 11):
+        m = 0
+        for d in range(1, 5001):
+            while m * m * (n + 1) < d:
+                m += 1
+            assert default_bounds(n, d, 1).max_b - 3 == m, (n, d)
+
+
 def test_divisibility_crosscheck_small():
     for n in (2, 3, 4):
         assert divisibility_crosscheck(n, 2) == []

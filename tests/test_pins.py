@@ -12,16 +12,21 @@ incorrect.  This loads that file read-only, from its path, and checks:
   ``census.suite_<name>`` with its keyword for those of ``VERIFY_PROBE``;
 * ``CENSUS_MD5[200]``, through ``kummer census ... --out``.
 
-``COUNT_DIGEST`` is left out on purpose.  It digests component counts
+It also runs the traced path of ``perfbench/run.py --trace 1`` (its
+``ops.py traced`` child and the ``-X importtime`` samples), which fails
+when the per-layer metric names drift from ``BENCHMARK.json``.
+
+``COUNT_DIGEST`` gets no test of its own.  It digests component counts
 that include wrong answers on the defect class of ROADMAP item 1
 (n = 1 mod 4, t = 2, 4 | d), so it has to change together with that
-item's fix; a test here would hold the wrong answers in place.
+item's fix; only the traced run checks it, as every benchmark run does.
 """
 
 import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import subprocess
 import sys
@@ -85,3 +90,37 @@ def test_census_md5_at_200_through_the_cli(tmp_path):
     argv = ["census", "2", "3", "4", "--d-max", "200", "--format", "csv", "--out", str(out)]
     assert cli.main(argv) == 0
     assert hashlib.md5(out.read_bytes()).hexdigest() == pins.CENSUS_MD5[200]
+
+
+def test_traced_run_yields_the_declared_per_layer_metrics(tmp_path):
+    """The traced path of the benchmark, as ``perfbench/run.py --trace 1`` takes it.
+
+    ``run.py`` adds the two ``import.*`` medians from ``-X importtime`` to
+    the metrics of ``ops.py traced`` and raises unless the names are
+    exactly ``BENCHMARK.json``'s ``per_layer`` list; the median has no
+    sample unless the package import shows a ``numpy`` line.  ROADMAP
+    items 3 and 8 change this test together with ``run.py``.  The run
+    checks its count probe against ``COUNT_DIGEST``, which item 1's fix
+    re-pins in the same change.
+    """
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"}
+    ops = ROOT / "perfbench" / "ops.py"
+    argv = ["traced", "--workload", "verify", "--seed", "7", "--seconds", "1"]
+    proc = subprocess.run(
+        [sys.executable, str(ops), *argv, "--out-dir", str(tmp_path)],
+        cwd=ROOT, capture_output=True, text=True, env=env, timeout=170,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = {*result["metrics"], "import.numpy_s", "import.kummer_moduli_s"}
+    assert names == {metric["name"] for metric in declared["per_layer"]}
+
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import kummer_moduli"],
+        cwd=ROOT, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()}
+    assert "numpy" in imported
