@@ -34,9 +34,15 @@ def build_witness(n: int, d: int, t: int) -> SplitClass:
 
     Such a class has divisibility gcd(t, (2n+2)*c) = t exactly when
     t | 2n+2, and is primitive since gcd(c, t) = 1.  It exists iff
-    t^2 | d + (n+1)*c^2, which depends only on c^2 mod t^2, so the search
-    c <= t^2/2 covers every class up to sign.  d_hat >= 1 follows from
-    the numerator being at least d.
+    t^2 | d + (n+1)*c^2.  d_hat >= 1 follows from the numerator being at
+    least d.
+
+    The search stops at c = t//2.  Both conditions depend only on c mod t:
+    (n+1)(c + kt)^2 - (n+1)c^2 = 2(n+1)ckt + (n+1)k^2 t^2, and t | 2(n+1)
+    puts both terms in t^2 Z.  They also hold for -c when they hold for c,
+    and -c = t - c mod t.  No c = 0 mod t fits, as gcd(c, t) = t >= 2.  So
+    if any c fits, one in 1..t-1 does, and of c and t - c the smaller is
+    at most t/2: the least fitting c is at most t//2.
 
     A witness exists iff the moduli space is non-empty, for every d >= 1:
     with P = (2n+2)^2 the count depends on d only through d mod P, and so
@@ -51,7 +57,7 @@ def build_witness(n: int, d: int, t: int) -> SplitClass:
             f"witness classes need t >= 2, got {t}; t = 1 is certified by DivisibilityOne"
         )
     if (2 * n + 2) % t == 0:
-        for c in range(1, t * t // 2 + 1):
+        for c in range(1, t // 2 + 1):
             numerator = d + (n + 1) * c * c
             if gcd(c, t) == 1 and numerator % (t * t) == 0:
                 return SplitClass(n, t, -c, numerator // (t * t))

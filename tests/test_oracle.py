@@ -3,10 +3,11 @@
 import hashlib
 import itertools
 import math
+import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kummer_moduli import oracle
 from kummer_moduli.lattice import SplitClass, divisibility_vector, gram_matrix
@@ -183,15 +184,113 @@ def test_divisibility_crosscheck_catches_a_moving_diagonal(monkeypatch):
             assert all(any(v) for v, _, _ in mismatches)
 
 
-def test_divisibility_crosscheck_peak_memory_is_below_two_slabs():
+def test_divisibility_crosscheck_peak_memory_is_below_two_slabs(monkeypatch):
+    # the proof holds for the true Gram matrix, so refuse it and the call scans;
     # numpy reports its buffers to tracemalloc; a slab is 7 int64 rows of 7^6
+    monkeypatch.setattr(oracle, "_formula_is_proved", lambda gram, n: False)
     tracemalloc.start()
     try:
-        divisibility_crosscheck(4, 3)
+        mismatches = divisibility_crosscheck(4, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert mismatches == []
     assert peak < 2 * 7 * 8 * 7**6
+
+
+def test_divisibility_crosscheck_proof_path_builds_no_array(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the proof path built an array")
+
+    monkeypatch.setattr(oracle.np, "indices", refuse)
+    for n in (2, 3, 4):
+        assert divisibility_crosscheck(n, 3) == []
+
+
+def test_formula_is_proved_for_the_true_gram_matrix():
+    assert all(oracle._formula_is_proved(gram_matrix(n), n) for n in range(2, 61))
+
+
+def test_formula_is_not_proved_for_the_mutants():
+    # so their crosscheck tests still run the scan
+    for n in (2, 3, 4):
+        assert not oracle._formula_is_proved(_wrong_gram(n), n)
+        assert not oracle._formula_is_proved(_moving_diagonal_gram(n), n)
+
+
+def _column_ops(gram, ops):
+    # gram times a product of elementary matrices: column j += k * column i
+    rows = [list(row) for row in gram]
+    for i, j, k in ops:
+        for row in rows:
+            row[j] += k * row[i]
+    return tuple(tuple(row) for row in rows)
+
+
+_elementary = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(-2, 2)).filter(
+    lambda op: op[0] != op[1]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.lists(_elementary, max_size=8))
+def test_formula_is_proved_for_a_unimodular_change_of_the_gram_columns(n, ops):
+    """gram*E spans the same columns as gram (E unimodular) and need not be symmetric."""
+    mixed = _column_ops(gram_matrix(n), ops)
+    assert oracle._formula_is_proved(mixed, n)
+    assert _reference_mismatches(mixed, n, 1) == []
+
+
+def test_formula_is_proved_only_when_the_last_row_carries_2n_plus_2():
+    # |det| = 2n+2 alone is not enough: scaling another row of the identity
+    # gives the same determinant and a different ideal
+    for n in (2, 3, 4):
+        for scaled in range(7):
+            rows = [[(2 * n + 2 if i == scaled else 1) * (i == j) for j in range(7)] for i in range(7)]
+            proved = oracle._formula_is_proved(rows, n)
+            assert proved == (scaled == 6)
+            assert (_reference_mismatches(rows, n, 1) == []) == proved
+
+
+def _small_matrix_that_passes(n, seed):
+    # draw small matrices, one row scaled by 2n+2, until one passes; about 1 in 700 does
+    rng = random.Random(seed)
+    while True:
+        rows = [[rng.choice((-1, 0, 0, 1, 2)) for _ in range(7)] for _ in range(7)]
+        scaled = rng.randrange(7)
+        rows[scaled] = [(2 * n + 2) * x for x in rows[scaled]]
+        if oracle._formula_is_proved(rows, n):
+            return tuple(tuple(row) for row in rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(0, 2**32 - 1))
+def test_a_random_matrix_that_passes_the_proof_has_no_mismatch(n, seed):
+    assert _reference_mismatches(_small_matrix_that_passes(n, seed), n, 1) == []
+
+
+def _cofactor_det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from([4, 7]).flatmap(
+        lambda size: st.lists(
+            st.lists(st.integers(-3, 3), min_size=size, max_size=size),
+            min_size=size,
+            max_size=size,
+        )
+    )
+)
+def test_det_matches_the_cofactor_expansion(m):
+    assert oracle._det(m) == _cofactor_det(m)
 
 
 def test_nonemptiness_crosscheck_small():
@@ -231,7 +330,7 @@ coords = st.tuples(*[st.integers(-40, 40)] * 7).filter(lambda v: any(v))
 
 @given(coords, st.sampled_from([2, 3, 4]))
 def test_closed_form_matches_gram_ideal(v, n):
-    """The gcd formula used by the numpy crosscheck, pinned to the slow path."""
+    """The gcd formula the divisibility crosscheck proves, pinned to the slow path."""
     content = math.gcd(*(abs(x) for x in v[:6])) if any(v[:6]) else 0
     formula = math.gcd(content, 2 * (n + 1) * abs(v[6]))
     assert divisibility_vector(v, n) == formula

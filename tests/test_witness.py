@@ -1,4 +1,5 @@
 import dataclasses
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -42,6 +43,26 @@ def test_witness_is_the_least_class_the_search_finds():
                 assert build_witness(n, d, t) == least, (n, d, t)
                 checked += 1
     assert checked == 71
+
+
+def test_least_c_is_the_least_c_of_the_search_to_t_squared_over_two():
+    """Searching c <= t//2 finds the c that c <= t^2//2 finds, and none when that finds none."""
+    for n, ts in _WITNESS_TS.items():
+        for t in ts:
+            for d in range(1, (2 * n + 2) ** 2 + 1):
+                wide = next(
+                    (
+                        c
+                        for c in range(1, t * t // 2 + 1)
+                        if gcd(c, t) == 1 and (d + (n + 1) * c * c) % (t * t) == 0
+                    ),
+                    None,
+                )
+                if wide is None:
+                    with pytest.raises(ValueError, match="empty moduli space"):
+                        build_witness(n, d, t)
+                else:
+                    assert build_witness(n, d, t).b == -wide, (n, d, t)
 
 
 def test_build_witness_needs_t_dividing_2n_plus_2():
