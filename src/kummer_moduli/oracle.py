@@ -32,7 +32,7 @@ class SearchBounds:
 
 
 def enumerate_primitive_classes(
-    n: int, d: int, t: int, bounds: SearchBounds
+    n: int, d: int, t: int, bounds: SearchBounds, *, limit: int | None = None
 ) -> list[SplitClass]:
     """All primitive split classes of square 2d and divisibility t in the box.
 
@@ -44,9 +44,15 @@ def enumerate_primitive_classes(
     gcd(a, 2(n+1)b) divides a, so a steps over t, 2t, ...; and as b is
     prime to a, it equals gcd(a, 2n+2), so an a with gcd(a, 2n+2) != t
     holds no class and its b loop is skipped.
+
+    With ``limit`` the scan stops once it holds ``limit`` classes, so the
+    result is the first ``limit`` entries of the full list, in the same
+    order; ``limit`` must be >= 1.
     """
     if n < 2 or d < 1 or t < 1:
         raise ValueError(f"need n >= 2, d >= 1, t >= 1, got ({n}, {d}, {t})")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     found: list[SplitClass] = []
     for a in range(t, bounds.max_a + 1, t):
         if gcd(a, 2 * n + 2) != t:
@@ -56,6 +62,8 @@ def enumerate_primitive_classes(
             numerator = d + (n + 1) * b * b
             if numerator % square == 0 and gcd(a, b) == 1:
                 found.append(SplitClass(n, a, b, numerator // square))
+                if len(found) == limit:
+                    return found
     return found
 
 
@@ -179,12 +187,13 @@ def nonemptiness_crosscheck(n: int, d_max: int) -> list[tuple[int, int, int]]:
     Scans the triples of :func:`moduli.triples` for this n, so n must be
     in {2, 3, 4} and d_max >= 1.  One-directional: theorem-non-empty must
     imply a lattice class exists in the box of :func:`default_bounds`.
-    Returns violations (expected: none).
+    That claim is existence, so the search is asked for one class per
+    triple (``limit=1``).  Returns violations (expected: none).
     """
     violations = []
     for _, d, t in triples((n,), d_max):
         if component_count(n, d, t).count == 0:
             continue
-        if not enumerate_primitive_classes(n, d, t, default_bounds(n, d, t)):
+        if not enumerate_primitive_classes(n, d, t, default_bounds(n, d, t), limit=1):
             violations.append((n, d, t))
     return violations

@@ -57,16 +57,31 @@ def _reference_classes(n, d, t, bounds):
     return found
 
 
-@given(
-    st.integers(2, 12).flatmap(
-        lambda n: st.tuples(st.just(n), st.integers(1, 500), st.integers(1, 2 * n + 4))
-    ),
-    st.builds(SearchBounds, st.integers(1, 30), st.integers(0, 30)),
+small_triples = st.integers(2, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, 500), st.integers(1, 2 * n + 4))
 )
+boxes = st.builds(SearchBounds, st.integers(1, 30), st.integers(0, 30))
+
+
+@given(small_triples, boxes)
 def test_enumerate_equals_the_full_box_scan(triple, bounds):
     """t runs past 2n+2 (so t need not divide it) and past max_a; max_b may be 0."""
     n, d, t = triple
     assert enumerate_primitive_classes(n, d, t, bounds) == _reference_classes(n, d, t, bounds)
+
+
+@given(small_triples, boxes)
+def test_enumerate_limit_is_a_prefix_of_the_full_list(triple, bounds):
+    n, d, t = triple
+    full = enumerate_primitive_classes(n, d, t, bounds)
+    for k in range(1, 5):
+        assert enumerate_primitive_classes(n, d, t, bounds, limit=k) == full[:k]
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_enumerate_rejects_a_limit_below_one(limit):
+    with pytest.raises(ValueError):
+        enumerate_primitive_classes(2, 6, 3, BOX, limit=limit)
 
 
 def test_enumerate_pinned_under_default_bounds():
@@ -297,26 +312,43 @@ def test_nonemptiness_crosscheck_small():
     assert nonemptiness_crosscheck(2, 50) == []
 
 
+def _nonempty_triples(n, d_max):
+    return [(n, d, t) for _, d, t in triples((n,), d_max) if component_count(n, d, t).count > 0]
+
+
 def test_nonemptiness_crosscheck_calls_the_search_once_per_nonempty_triple(monkeypatch):
     # perfbench/layers.py takes oracle.enumerate_hit_ratio as hits over these
     # calls and fails when there are none, so the crosscheck must call the
     # public function once per non-empty triple, not a private early-exit scan
     calls = []
 
-    def counted(n, d, t, bounds):
-        found = enumerate_primitive_classes(n, d, t, bounds)
-        calls.append(((n, d, t), found))
+    def counted(n, d, t, bounds, **kwargs):
+        found = enumerate_primitive_classes(n, d, t, bounds, **kwargs)
+        calls.append(((n, d, t), kwargs, found))
         return found
 
     monkeypatch.setattr(oracle, "enumerate_primitive_classes", counted)
     for n in (2, 3, 4):
         calls.clear()
         assert nonemptiness_crosscheck(n, 100) == []
-        nonempty = [
-            (n, d, t) for _, d, t in triples((n,), 100) if component_count(n, d, t).count > 0
-        ]
-        assert [triple for triple, _ in calls] == nonempty
-        assert all(found for _, found in calls)
+        assert [triple for triple, _, _ in calls] == _nonempty_triples(n, 100)
+        assert all(kwargs == {"limit": 1} for _, kwargs, _ in calls)
+        assert all(len(found) == 1 for _, _, found in calls)
+
+
+def test_nonemptiness_crosscheck_builds_one_class_per_nonempty_triple(monkeypatch):
+    # counts before wall clock: a return to full-list scans builds ~21 classes a triple
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return SplitClass(*args)
+
+    monkeypatch.setattr(oracle, "SplitClass", counted)
+    for n in (2, 3, 4):
+        built.clear()
+        assert nonemptiness_crosscheck(n, 100) == []
+        assert len(built) == len(_nonempty_triples(n, 100))
 
 
 def test_nonemptiness_crosscheck_fails_on_a_starved_box(monkeypatch):
