@@ -71,7 +71,9 @@ def pairing(v: Vector, w: Vector, n: int) -> int:
 
 def bb_square(v: Vector, n: int) -> int:
     """Square of a vector under the lattice form; always even."""
-    return pairing(v, v, n)
+    _check_n(n)
+    vt = _check_vector(v)
+    return 2 * (vt[0] * vt[1] + vt[2] * vt[3] + vt[4] * vt[5]) - (2 * n + 2) * vt[6] * vt[6]
 
 
 def divisibility_vector(v: Vector, n: int) -> int:

@@ -28,17 +28,20 @@ produces two-component verdicts inside the connectedness range (e.g.
 n=3, d=12, t=4), which the corollary scan rejects.  For t <= 2 a matching
 case always yields a single component.
 
-The chain reads d1 only through gcd(d1, t1), d1 mod 2 and the three
-residues (-d1/n1 mod t1, -d1/n1 mod 2*t1, -d1/(4*n1) mod t1); t1 and 2
-both divide 2*t1, so each of these is a function of d1 mod 2*t1.  The
-key (n1, w, g1, t1, d1 mod 2*t1, t > 2) therefore determines the
-result exactly, with no periodicity sampled.  For a fixed n there are
-finitely many keys (n1, w, g1 and t1 come from divisors of 2n+2, and
-d1 mod 2*t1 < 2*t1); n in {2, 3, 4} has 105 of them, all reached by
-d <= 100.  So :func:`component_count` keeps their results in a
-module-level table and runs the chain once per key.  Larger n goes to
-the chain directly: across many n the keys hardly repeat, and a table
-would grow with every query.
+For n in {2, 3, 4} the result depends on d only through d mod P, with
+P = (2n+2)^2, so :func:`component_count` keeps it in a module-level table
+keyed by (n, t, d mod P) and runs the chain once per key.  The key is
+exact: big = gcd(2d, 2n+2) = 2*gcd(d, n+1) depends only on d mod (n+1),
+and n1, g, w, g1, t1 and t > 2 only on big and t.  The chain reads d1
+only through gcd(d1, t1), d1 mod 2 and the three residues (-d1/n1 mod
+t1, -d1/n1 mod 2*t1, -d1/(4*n1) mod t1), each a function of d1 mod
+2*t1; and d1 = 2d/big moves by 2*t1 when d moves by t1*big, so d1 mod
+2*t1 depends only on d mod t1*big.  Both n+1 and t1*big divide P (t1
+divides t, and t and big divide 2n+2).  Only t | 2n+2 is stored, so the
+table holds at most 36*4 + 64*4 + 100*4 = 800 entries; any other t is
+precondition-empty and is derived on every call.  Larger n goes to the
+chain directly: across many n the keys hardly repeat, and a table would
+grow with every query.
 
 :func:`triples` is the (n, d, t) grid that the census and the
 verification scans walk.
@@ -185,27 +188,35 @@ def _count_chain(
     return CountResult(_halved_power_count(w, t1, l), _TAGS_T_ABOVE_2[case])
 
 
-# results of _count_chain for n in {2, 3, 4}, by (n1, w, g1, t1, d1 mod 2*t1, t > 2)
-_COUNT_TABLE: dict[tuple[int, int, int, int, int, bool], CountResult] = {}
+# results of component_count for n in {2, 3, 4} and t | 2n+2, by (n, t, d mod (2n+2)^2)
+_COUNT_TABLE: dict[tuple[int, int, int], CountResult] = {}
 
 
 def component_count(n: int, d: int, t: int) -> CountResult:
     """Number of components of the moduli space, with the matching case tag.
 
-    For n in {2, 3, 4} the result is read from a table keyed by the
-    reduction of d1 mod 2*t1 (see the module docstring for why the key
-    is exact); the returned CountResult may be shared between calls.
+    For n in {2, 3, 4} the result is read from a table keyed by
+    (n, t, d mod (2n+2)^2): a hit is one dict lookup, a miss derives the
+    invariants, runs the chain and stores the result when t | 2n+2 (see
+    the module docstring for why the key is exact).  The parameters are
+    checked before the lookup, since d = 0 shares its key with d = P.
+    The returned CountResult may be shared between calls.
     """
+    if n < 5:
+        if n < 2 or d < 1 or t < 1:
+            _check_params(n, d, t)
+        key = (n, t, d % (4 * (n + 1) * (n + 1)))
+        result = _COUNT_TABLE.get(key)
+        if result is not None:
+            return result
     derived = _derive(n, d, t)
     if derived is None:
-        return _PRECONDITION_EMPTY
-    d1, n1, _, w, g1, t1 = derived
-    if n > 4:
-        return _count_chain(n1, w, g1, t1, d1, t > 2)
-    key = (n1, w, g1, t1, d1 % (2 * t1), t > 2)
-    result = _COUNT_TABLE.get(key)
-    if result is None:
-        result = _COUNT_TABLE[key] = _count_chain(*key)
+        result = _PRECONDITION_EMPTY
+    else:
+        d1, n1, _, w, g1, t1 = derived
+        result = _count_chain(n1, w, g1, t1, d1, t > 2)
+    if n < 5 and (2 * n + 2) % t == 0:
+        _COUNT_TABLE[key] = result
     return result
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from kummer_moduli import lattice
 from kummer_moduli.lattice import (
     RANK,
     SplitClass,
@@ -143,6 +144,22 @@ def test_pairing_symmetric_bilinear(v, w, n):
     assert pairing(v, w, n) == pairing(w, v, n)
     total = tuple(x + y for x, y in zip(v, w))
     assert bb_square(total, n) == bb_square(v, n) + 2 * pairing(v, w, n) + bb_square(w, n)
+
+
+@given(coords, st.sampled_from([2, 3, 4, 10**6]))
+def test_square_is_the_self_pairing_and_checks_once(v, n):
+    calls = []
+    check = lattice._check_vector
+
+    def counting_check(vec):
+        calls.append(vec)
+        return check(vec)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_check_vector", counting_check)
+        square = bb_square(v, n)
+    assert calls == [v]
+    assert square == pairing(v, v, n)
 
 
 @given(nonzero_coords, st.integers(-6, 6).filter(lambda k: k != 0), st.sampled_from([2, 3, 4]))

@@ -175,30 +175,94 @@ def _chain_on_unreduced_d1(n, d, t):
     return moduli._count_chain(n1, w, g1, t1, d1, t > 2)
 
 
+def _period(n):
+    return (2 * n + 2) ** 2
+
+
+def _divisors(n):
+    return [t for t in range(1, 2 * n + 3) if (2 * n + 2) % t == 0]
+
+
 def test_count_table_matches_the_chain_on_unreduced_d1(cold_table):
     for n, d, t in triples((2, 3, 4), 400):
         assert component_count(n, d, t) == _chain_on_unreduced_d1(n, d, t)
-    assert 0 < len(cold_table) <= 105
+    assert 0 < len(cold_table) <= 800
 
 
 @given(st.sampled_from([2, 3, 4]), st.integers(1, 10**9), st.data())
 def test_count_table_exact_for_large_d(n, d, data):
-    t = data.draw(st.sampled_from([k for k in range(1, 2 * n + 3) if (2 * n + 2) % k == 0]))
+    t = data.draw(st.sampled_from(_divisors(n)))
     assert component_count(n, d, t) == _chain_on_unreduced_d1(n, d, t)
 
 
 def test_count_table_runs_the_chain_once_per_key(cold_table, monkeypatch):
-    calls = []
-    chain = moduli._count_chain
+    # every miss derives once and runs the chain at most once; a key
+    # (n, t, d mod P) misses at most once, whatever d_max is
+    misses, chains = [], []
+    derive, chain = moduli._derive, moduli._count_chain
 
-    def counting_chain(*key):
-        calls.append(key)
-        return chain(*key)
+    def counting_derive(n, d, t):
+        misses.append((n, t, d % _period(n)))
+        return derive(n, d, t)
 
+    def counting_chain(*args):
+        chains.append(misses[-1])
+        return chain(*args)
+
+    monkeypatch.setattr(moduli, "_derive", counting_derive)
     monkeypatch.setattr(moduli, "_count_chain", counting_chain)
+    for d_max in (2000, 5000):
+        for n, d, t in triples((2, 3, 4), d_max):
+            component_count(n, d, t)
+        assert len(misses) == len(set(misses)) == len(cold_table) <= 800
+        assert set(misses) == set(cold_table)
+        assert len(chains) == len(set(chains)) <= len(misses)
+
+
+def test_every_table_key_is_exact(cold_table):
+    for n in (2, 3, 4):
+        p = _period(n)
+        for t in _divisors(n):
+            for r in range(1, p + 1):
+                for k in (10**6, 1, 0):
+                    d = r + k * p
+                    assert component_count(n, d, t) == _chain_on_unreduced_d1(n, d, t), (n, d, t)
+    assert len(cold_table) == 800
+
+
+def test_count_table_stays_bounded(cold_table):
     for n, d, t in triples((2, 3, 4), 2000):
         component_count(n, d, t)
-    assert len(calls) == len(set(calls)) == len(cold_table) <= 105
+    for n in (2, 3, 4):
+        for t in (7, 9, 11, 2 * n + 3, 2 * (2 * n + 2)):
+            for d in range(1, 3 * _period(n)):
+                assert component_count(n, d, t) == CountResult(0, "precondition-empty")
+    # d <= 2000 reaches every residue mod P, and no other t is stored
+    assert len(cold_table) == 800
+    assert all((2 * n + 2) % t == 0 and 0 <= r < _period(n) for n, t, r in cold_table)
+
+
+def _warm_table():
+    for n, d, t in triples((2, 3, 4), 100):
+        component_count(n, d, t)
+
+
+@given(st.integers(max_value=0), st.integers(1, 10**6), st.integers(max_value=1))
+def test_warm_table_still_rejects_invalid_params(bad_d, good_d, bad_n):
+    # d = 0 and d = -P share their key with d = P, which the table holds
+    _warm_table()
+    for n in (2, 3, 4):
+        p = _period(n)
+        for t in _divisors(n):
+            for d in (bad_d, 0, -p, bad_d * p):
+                with pytest.raises(ValueError, match="d >= 1"):
+                    component_count(n, d, t)
+            for bad_t in (0, -t, -t * p):
+                with pytest.raises(ValueError, match="t >= 1"):
+                    component_count(n, good_d, bad_t)
+            for m in (1, bad_n):
+                with pytest.raises(ValueError, match="n >= 2"):
+                    component_count(m, good_d, t)
 
 
 def test_count_table_ignores_larger_n(cold_table):
