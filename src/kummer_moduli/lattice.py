@@ -69,11 +69,20 @@ def pairing(v: Vector, w: Vector, n: int) -> int:
     return hyperbolic - (2 * n + 2) * vt[6] * wt[6]
 
 
+def _square(vt: tuple[int, ...], n: int) -> int:
+    return 2 * (vt[0] * vt[1] + vt[2] * vt[3] + vt[4] * vt[5]) - (2 * n + 2) * vt[6] * vt[6]
+
+
+def _divisibility(vt: tuple[int, ...], n: int) -> int:
+    if not any(vt):
+        raise ValueError("divisibility of the zero class is undefined")
+    return gcd(*vt[:6], (2 * n + 2) * vt[6])
+
+
 def bb_square(v: Vector, n: int) -> int:
     """Square of a vector under the lattice form; always even."""
     _check_n(n)
-    vt = _check_vector(v)
-    return 2 * (vt[0] * vt[1] + vt[2] * vt[3] + vt[4] * vt[5]) - (2 * n + 2) * vt[6] * vt[6]
+    return _square(_check_vector(v), n)
 
 
 def divisibility_vector(v: Vector, n: int) -> int:
@@ -84,10 +93,17 @@ def divisibility_vector(v: Vector, n: int) -> int:
     divisibility (the ideal degenerates) and is rejected.
     """
     _check_n(n)
+    return _divisibility(_check_vector(v), n)
+
+
+def _square_and_divisibility(v: Vector, n: int) -> tuple[int, int]:
+    """``(bb_square(v, n), divisibility_vector(v, n))``, checking n and v once.
+
+    Raises the ValueError either would, the zero vector's included.
+    """
+    _check_n(n)
     vt = _check_vector(v)
-    if not any(vt):
-        raise ValueError("divisibility of the zero class is undefined")
-    return gcd(*vt[:6], (2 * n + 2) * vt[6])
+    return _square(vt, n), _divisibility(vt, n)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,8 @@ from math import gcd
 
 from .lattice import (
     SplitClass,
-    bb_square,
+    _square_and_divisibility,
     divisibility_split,
-    divisibility_vector,
     embed,
     square_split,
 )
@@ -72,7 +71,7 @@ def verify_witness(w: SplitClass, n: int, d: int, t: int) -> bool:
     c_delta <= -1 — the decomposition certifiers rely on a negative delta
     coefficient), primitivity, d_hat >= 1, the square and divisibility in
     split form, and the same two values again on the embedded concrete
-    vector.
+    vector, which is validated once for both.
     """
     if w.n != n or w.a < 1 or w.b > -1:
         return False
@@ -80,5 +79,4 @@ def verify_witness(w: SplitClass, n: int, d: int, t: int) -> bool:
         return False
     if square_split(w) != 2 * d or divisibility_split(w) != t:
         return False
-    vec = embed(w)
-    return bb_square(vec, n) == 2 * d and divisibility_vector(vec, n) == t
+    return _square_and_divisibility(embed(w), n) == (2 * d, t)

@@ -8,7 +8,7 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
-from kummer_moduli import bpf, census, moduli
+from kummer_moduli import bpf, census, lattice, moduli
 from kummer_moduli.census import (
     CSV_HEADER,
     CensusRow,
@@ -413,6 +413,80 @@ def test_witnesses_suite_reports_a_failure(monkeypatch):
     result = suite_witnesses(d_max=30)
     assert result.passed is False
     assert result.lines[1:] == ("  WITNESS FAILURE at (n,d,t)=(3, 28, 8)",)
+
+
+@pytest.mark.parametrize("d_max", [1, 30, 36, 99, 100, 101, 250])
+def test_witnesses_suite_checks_exactly_the_non_empty_triples(monkeypatch, d_max):
+    # d_max lies below, at and past P = 36, 64, 100 of n = 2, 3, 4
+    built, verified, counted = [], [], []
+    build, verify, count = census.build_witness, census.verify_witness, census.component_count
+
+    def record_build(*triple):
+        built.append(triple)
+        return build(*triple)
+
+    def record_verify(w, *triple):
+        verified.append(triple)
+        return verify(w, *triple)
+
+    def record_count(*triple):
+        counted.append(triple)
+        return count(*triple)
+
+    monkeypatch.setattr(census, "build_witness", record_build)
+    monkeypatch.setattr(census, "verify_witness", record_verify)
+    monkeypatch.setattr(census, "component_count", record_count)
+    expected = {
+        (n, d, t) for n, d, t in moduli.triples((2, 3, 4), d_max)
+        if t >= 2 and moduli.component_count(n, d, t).count > 0
+    }
+    result = suite_witnesses(d_max)
+    assert result.passed is True
+    assert sorted(built) == sorted(verified) == sorted(expected)
+    assert result.lines == (
+        f"checked {len(expected)} non-empty triples with t >= 2, d <= {d_max}",
+    )
+    # one count per class mod P for each t >= 2: three such t for each n
+    assert len(counted) == sum(3 * min((2 * n + 2) ** 2, d_max) for n in (2, 3, 4))
+
+
+def test_witnesses_suite_checks_the_range_before_any_work(monkeypatch):
+    monkeypatch.setattr(census, "component_count", lambda *triple: pytest.fail("counted"))
+    with pytest.raises(ValueError, match="d_max must be >= 1"):
+        suite_witnesses(0)
+
+
+def test_witnesses_suite_sorts_failures_across_classes(monkeypatch):
+    # (3, t=8) is non-empty at d = 28 and 60 mod 64: the walk checks d = 92 before d = 60
+    failing = {(3, 92, 8), (3, 60, 8)}
+    visited = []
+    verify = census.verify_witness
+
+    def failing_verify(w, *triple):
+        visited.append(triple)
+        return triple not in failing and verify(w, *triple)
+
+    monkeypatch.setattr(census, "verify_witness", failing_verify)
+    result = suite_witnesses(d_max=100)
+    assert visited.index((3, 92, 8)) < visited.index((3, 60, 8))
+    assert result.passed is False
+    assert result.lines[1:] == (
+        "  WITNESS FAILURE at (n,d,t)=(3, 60, 8)",
+        "  WITNESS FAILURE at (n,d,t)=(3, 92, 8)",
+    )
+
+
+def test_witnesses_suite_validates_each_witness_vector_once(monkeypatch):
+    calls = []
+    check = lattice._check_vector
+
+    def counting_check(vec):
+        calls.append(vec)
+        return check(vec)
+
+    monkeypatch.setattr(lattice, "_check_vector", counting_check)
+    result = suite_witnesses(d_max=500)
+    assert result.lines[0] == f"checked {len(calls)} non-empty triples with t >= 2, d <= 500"
 
 
 def test_exceptional_suite_reports_an_excluded_triple_that_is_certified_silently(monkeypatch):
