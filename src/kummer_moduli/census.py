@@ -181,11 +181,7 @@ _CSV_LINE = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
 
 def _csv_line(row: CensusRow) -> str:
-    """The CSV line of a row.
-
-    Booleans are written as ``true``/``false`` and ``None`` as an empty
-    cell; quoting is the ``csv`` module's.
-    """
+    """The CSV line of a row, written as :func:`rows_to_csv` describes."""
     (n, d, t, nonempty, components, c_l, c_delta, d_hat, verdict, certificate, in_a,
      discrepancy, _) = row
     return _CSV_LINE((
@@ -293,47 +289,62 @@ class SuiteResult:
 
 
 def suite_divisibility(coord_bound: int = 3) -> SuiteResult:
-    lines = []
-    ok = True
+    lines, ok = [], True
     for n in (2, 3, 4):
         mismatches = divisibility_crosscheck(n, coord_bound)
-        lines.append(
-            f"n={n} coord_bound={coord_bound}: {len(mismatches)} mismatch(es)"
-        )
-        for coords, ideal, formula in mismatches[:20]:
-            lines.append(f"  MISMATCH {coords}: ideal={ideal} formula={formula}")
+        lines.append(f"n={n} coord_bound={coord_bound}: {len(mismatches)} mismatch(es)")
+        lines += (f"  MISMATCH {coords}: ideal={ideal} formula={formula}"
+                  for coords, ideal, formula in mismatches[:20])
         ok = ok and not mismatches
     return SuiteResult("divisibility", ok, tuple(lines))
+
+
+def _classes(d_max: int) -> Iterator[tuple[int, int, int, int]]:
+    """Every (n, t, r, P) with n in {2, 3, 4}, t | 2n+2, P = (2n+2)^2 and r in 1..min(P, d_max).
+
+    Sorted by (n, t, r); the range is checked on the first ``next``, before any class.
+    """
+    next(triples((2, 3, 4), d_max), None)  # the range check
+    for n in (2, 3, 4):
+        period = (2 * n + 2) ** 2
+        for _, _, t in triples((n,), 1):
+            for r in range(1, min(period, d_max) + 1):
+                yield n, t, r, period
 
 
 def suite_connectedness(d_max: int = 500) -> SuiteResult:
     """Every space with n in {2, 3, 4}, d <= d_max and t | 2n+2 has at most one component.
 
     A t that does not divide 2n+2 never divides gcd(2d, 2n+2), so its
-    space is precondition-empty and needs no check.
+    space is precondition-empty and needs no check.  For n in {2, 3, 4} the
+    count is the table entry keyed by (n, t, d mod P), and that key is
+    exact (see the :mod:`moduli` docstring), so the walk reads
+    ``component_count(n, r, t)`` once per class of :func:`_classes`, and a
+    PASS holds for every d.  A count outside {0, 1} is a violation at each
+    d <= d_max of its class; each n reports how many, and the first 20 by (d, t).
     """
+    total = dict.fromkeys((2, 3, 4), 0)
+    first: dict[int, list] = {n: [] for n in total}
+    for n, t, r, period in _classes(d_max):
+        count = component_count(n, r, t).count
+        if count not in (0, 1):
+            ds = range(r, d_max + 1, period)
+            total[n] += len(ds)
+            first[n] += ((d, t, count) for d in ds[:20])
     lines = []
-    ok = True
-    for n in (2, 3, 4):
-        violations = []
-        for _, d, t in triples((n,), d_max):
-            count = component_count(n, d, t).count
-            if count not in (0, 1):
-                violations.append(f"  VIOLATION (n={n}, d={d}, t={t}) components={count}")
-        lines.append(f"n={n} d<={d_max}: {len(violations)} violation(s)")
-        lines += violations[:20]
-        ok = ok and not violations
-    return SuiteResult("connectedness", ok, tuple(lines))
+    for n, found in total.items():
+        lines.append(f"n={n} d<={d_max}: {found} violation(s)")
+        lines += (f"  VIOLATION (n={n}, d={d}, t={t}) components={count}"
+                  for d, t, count in sorted(first[n])[:20])
+    return SuiteResult("connectedness", not any(total.values()), tuple(lines))
 
 
 def suite_nonemptiness(d_max: int = 100) -> SuiteResult:
-    lines = []
-    ok = True
+    lines, ok = [], True
     for n in (2, 3, 4):
         violations = nonemptiness_crosscheck(n, d_max)
         lines.append(f"n={n} d<={d_max}: {len(violations)} violation(s)")
-        for triple in violations:
-            lines.append(f"  NO CLASS FOUND for (n,d,t)={triple}")
+        lines += (f"  NO CLASS FOUND for (n,d,t)={triple}" for triple in violations)
         ok = ok and not violations
     return SuiteResult("nonemptiness", ok, tuple(lines))
 
@@ -341,33 +352,23 @@ def suite_nonemptiness(d_max: int = 100) -> SuiteResult:
 def suite_witnesses(d_max: int = 500) -> SuiteResult:
     """Build and verify the witness of every non-empty triple with t >= 2 and d <= d_max.
 
-    The walk goes over residue classes: for each n, each t >= 2 with
-    t | 2n+2 and each r in 1..min(P, d_max), with P = (2n+2)^2, it reads
-    ``component_count(n, r, t)`` once, and if that is non-empty it checks
-    the witness of every d = r mod P up to d_max.  This selects exactly
-    the triples a count per triple would: for n in {2, 3, 4} the count is
-    the table entry keyed by (n, t, d mod P), and that key is exact (see
-    the :mod:`moduli` docstring).  Failures are reported sorted by
+    The walk reads ``component_count(n, r, t)`` once per class of
+    :func:`_classes` with t >= 2, and if that is non-empty it checks the
+    witness of every d = r mod P up to d_max.  This selects exactly the
+    triples a count per triple would, since the count's key is exact (see
+    :func:`suite_connectedness`).  Failures are reported sorted by
     (n, d, t), since the walk visits d out of order.
     """
-    next(triples((2, 3, 4), d_max), None)  # the range check
-    failures = []
-    checked = 0
-    for n in (2, 3, 4):
-        period = (2 * n + 2) ** 2
-        for _, _, t in triples((n,), 1):
-            if t == 1:
-                continue
-            for r in range(1, min(period, d_max) + 1):
-                if component_count(n, r, t).count == 0:
-                    continue
-                for d in range(r, d_max + 1, period):
-                    checked += 1
-                    if not verify_witness(build_witness(n, d, t), n, d, t):
-                        failures.append((n, d, t))
+    failures, checked = [], 0
+    for n, t, r, period in _classes(d_max):
+        if t == 1 or component_count(n, r, t).count == 0:
+            continue
+        for d in range(r, d_max + 1, period):
+            checked += 1
+            if not verify_witness(build_witness(n, d, t), n, d, t):
+                failures.append((n, d, t))
     lines = [f"checked {checked} non-empty triples with t >= 2, d <= {d_max}"]
-    for triple in sorted(failures):
-        lines.append(f"  WITNESS FAILURE at (n,d,t)={triple}")
+    lines += (f"  WITNESS FAILURE at (n,d,t)={triple}" for triple in sorted(failures))
     return SuiteResult("witnesses", not failures, tuple(lines))
 
 
@@ -388,16 +389,13 @@ def suite_exceptional(d_max: int = 500) -> SuiteResult:
         f"unknown triples: {sorted(unknown)}",
         f"expected exclusions in range: {sorted(expected)}",
     ]
-    for triple in sorted(discrepant):
-        lines.append(
-            f"  DISCREPANCY {triple}: excluded but certified (reported, permitted)"
-        )
+    lines += (f"  DISCREPANCY {triple}: excluded but certified (reported, permitted)"
+              for triple in sorted(discrepant))
     extra = sorted(unknown - expected)
     missing = sorted(expected - unknown - discrepant)
-    for triple in extra:
-        lines.append(f"  VIOLATION {triple}: Unknown but not in the excluded set")
-    for triple in missing:
-        lines.append(f"  VIOLATION {triple}: excluded but neither Unknown nor discrepant")
+    lines += (f"  VIOLATION {triple}: Unknown but not in the excluded set" for triple in extra)
+    lines += (f"  VIOLATION {triple}: excluded but neither Unknown nor discrepant"
+              for triple in missing)
     return SuiteResult("exceptional", not extra and not missing, tuple(lines))
 
 

@@ -405,6 +405,82 @@ def test_connectedness_suite_reports_a_violation(monkeypatch):
     )
 
 
+def _connectedness_per_triple(d_max):
+    """The connectedness suite as one count per triple, d by d: the reference for the class walk."""
+    lines = []
+    ok = True
+    for n in (2, 3, 4):
+        violations = []
+        for _, d, t in moduli.triples((n,), d_max):
+            count = census.component_count(n, d, t).count
+            if count not in (0, 1):
+                violations.append(f"  VIOLATION (n={n}, d={d}, t={t}) components={count}")
+        lines.append(f"n={n} d<={d_max}: {len(violations)} violation(s)")
+        lines += violations[:20]
+        ok = ok and not violations
+    return census.SuiteResult("connectedness", ok, tuple(lines))
+
+
+# the classes (n, t, d mod P) where a periodic mutant count gives components=2: two of
+# n = 3, which the walk visits (t=2, r=40) before (t=8, r=3), so their lines interleave
+# by d, and one of n = 2, whose own lines fill the 20-line cut
+_MUTANT_CLASSES = {(3, 2, 40), (3, 8, 3), (2, 3, 7)}
+
+
+def _periodic_mutant(count):
+    return lambda n, d, t: (
+        moduli.CountResult(2, "2")
+        if (n, t, d % (2 * n + 2) ** 2) in _MUTANT_CLASSES
+        else count(n, d, t)
+    )
+
+
+@pytest.mark.parametrize("mutant", [False, True])
+@pytest.mark.parametrize("d_max", [1, 35, 36, 37, 64, 99, 100, 101, 250, 5000])
+def test_connectedness_class_walk_agrees_with_a_count_per_triple(monkeypatch, mutant, d_max):
+    # d_max lies below, at and past P = 36, 64, 100 of n = 2, 3, 4
+    if mutant:
+        monkeypatch.setattr(census, "component_count", _periodic_mutant(census.component_count))
+    assert suite_connectedness(d_max) == _connectedness_per_triple(d_max)
+
+
+def test_periodic_mutant_interleaves_classes_past_the_cut(monkeypatch):
+    monkeypatch.setattr(census, "component_count", _periodic_mutant(census.component_count))
+    lines = _connectedness_per_triple(5000).lines
+    # each n lists only its first 20 violations: of 139 for n = 2, of 79 + 78 for n = 3
+    assert lines[0] == "n=2 d<=5000: 139 violation(s)"
+    assert lines[20] == "  VIOLATION (n=2, d=691, t=3) components=2"
+    assert lines[21] == "n=3 d<=5000: 157 violation(s)"
+    assert lines[22:25] == (
+        "  VIOLATION (n=3, d=3, t=8) components=2",
+        "  VIOLATION (n=3, d=40, t=2) components=2",
+        "  VIOLATION (n=3, d=67, t=8) components=2",
+    )
+    assert lines[42:] == ("n=4 d<=5000: 0 violation(s)",)
+
+
+@pytest.mark.parametrize("d_max", [1, 36, 37, 100, 5000])
+def test_connectedness_suite_reads_each_count_once_per_class(monkeypatch, d_max):
+    counted = []
+    count = census.component_count
+
+    def record_count(*triple):
+        counted.append(triple)
+        return count(*triple)
+
+    monkeypatch.setattr(census, "component_count", record_count)
+    assert suite_connectedness(d_max).passed is True
+    # one count per class mod P for each t | 2n+2: four such t for each n
+    assert len(set(counted)) == len(counted)
+    assert len(counted) == sum(4 * min((2 * n + 2) ** 2, d_max) for n in (2, 3, 4))
+
+
+def test_connectedness_suite_checks_the_range_before_any_count(monkeypatch):
+    monkeypatch.setattr(census, "component_count", lambda *triple: pytest.fail("counted"))
+    with pytest.raises(ValueError, match="d_max must be >= 1"):
+        suite_connectedness(0)
+
+
 def test_witnesses_suite_reports_a_failure(monkeypatch):
     verify = census.verify_witness
     monkeypatch.setattr(

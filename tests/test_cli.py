@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import kummer_moduli
@@ -449,6 +450,19 @@ def test_verify_texts_pinned(capsys):
     for argv, expected in VERIFY_TEXTS.items():
         code = cli.main(["verify", *argv])
         assert (code, capsys.readouterr().out) == expected, argv
+
+
+def test_verify_connectedness_finishes_for_a_huge_d_max(capsys):
+    # the suite reads one count per class mod (2n+2)^2, so its time does not grow with d_max
+    start = time.perf_counter()
+    code = cli.main(["verify", "connectedness", "--d-max", "1000000000"])
+    elapsed = time.perf_counter() - start
+    assert (code, capsys.readouterr().out) == (
+        0,
+        "".join(_VIOLATIONS.format(n=n, d=1000000000) for n in (2, 3, 4))
+        + "connectedness: PASS\n",
+    )
+    assert elapsed < 2, elapsed
 
 
 def test_closed_stdout_is_not_a_failed_check():
