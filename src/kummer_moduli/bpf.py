@@ -19,6 +19,7 @@ suppressed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
 from .lattice import SplitClass
@@ -150,29 +151,31 @@ def decide(n: int, d: int, t: int) -> Verdict:
 def certification_threshold(n: int, t: int) -> int:
     """The least D such that ``decide(n, d, t)`` is not Unknown for any d >= D.
 
-    Fix a residue r mod P = (2n+2)^2.  Along d = r, r+P, ... the count
-    and the witness shape (t, c_delta) are fixed (see
-    :func:`witness.build_witness`) and d_hat grows by P/t^2 per step, so
-    k0 = max(2, 1 + ceil((n+2) / (2*d_hat))) does not grow and
-    top = t - (p-1)*k0 does not shrink: once certified, a residue class
-    stays certified, and its Unknown d are an initial run of the walk.
-    Each walk stops at its first certified or Empty d.  Once
-    2*d_hat >= n+2, k0 = 2 for good, so a class still Unknown there is
-    Unknown for every later d; that raises ``ArithmeticError`` rather
-    than walking forever (no witness that :func:`witness.build_witness`
-    picks does this).  Defined for n in {2, 3, 4} and t >= 1.
+    Only a non-empty triple with t >= 2 can be Unknown, and then t | 2n+2.
+    Its witness (t, -c, d_hat) takes the least c that fits d mod t^2 (see
+    :func:`witness.build_witness`), so c is fixed along each class of d
+    mod t^2 and d_hat = (d + (n+1)*c^2) / t^2 grows by 1 per step of t^2.
+    With K = t // c >= 2 (c <= t/2), :func:`certify_decomposition`
+    succeeds iff top = t - (c-1)*k0 >= k0, that is k0 <= K, that is
+    d_hat >= m = ceil((n+2) / (2*(K-1))).  So a certified class stays
+    certified, and the last Unknown d of a class is the one with
+    d_hat = m - 1: t^2*(m-1) - (n+1)*c^2, if that is at least 1.  The
+    threshold is 1 + the largest of these over the classes, which are
+    the values -(n+1)*c^2 mod t^2 of the c in 1..t//2 prime to t, each
+    with its least c.  Defined for n in {2, 3, 4} and t >= 1.
     """
     if n not in (2, 3, 4) or t < 1:
         raise ValueError(f"thresholds are defined for n in {{2,3,4}} and t >= 1, got n={n}, t={t}")
-    period, threshold = (2 * n + 2) ** 2, 1
-    for r in range(1, period + 1):
-        d = r
-        while decide(n, d, t).status == "Unknown":
-            if 2 * build_witness(n, d, t).d_hat >= n + 2:
-                raise ArithmeticError(f"(n={n}, d={d}, t={t}) stays Unknown at every d + k*{period}")
-            threshold = max(threshold, d + 1)
-            d += period
-    return threshold
+    least_c: dict[int, int] = {}
+    if (2 * n + 2) % t == 0:
+        for c in range(1, t // 2 + 1):
+            if gcd(c, t) == 1:
+                least_c.setdefault(-(n + 1) * c * c % (t * t), c)
+    last_unknown = 0
+    for c in least_c.values():
+        m = -(-(n + 2) // (2 * (t // c - 1)))
+        last_unknown = max(last_unknown, t * t * (m - 1) - (n + 1) * c * c)
+    return last_unknown + 1
 
 
 def certificate_is_valid(n: int, d: int, t: int, cert: Certificate) -> bool:

@@ -350,23 +350,36 @@ def suite_nonemptiness(d_max: int = 100) -> SuiteResult:
 
 
 def suite_witnesses(d_max: int = 500) -> SuiteResult:
-    """Build and verify the witness of every non-empty triple with t >= 2 and d <= d_max.
+    """The witness of every non-empty triple with t >= 2 and d <= d_max verifies.
 
     The walk reads ``component_count(n, r, t)`` once per class of
-    :func:`_classes` with t >= 2, and if that is non-empty it checks the
-    witness of every d = r mod P up to d_max.  This selects exactly the
-    triples a count per triple would, since the count's key is exact (see
-    :func:`suite_connectedness`).  Failures are reported sorted by
-    (n, d, t), since the walk visits d out of order.
+    :func:`_classes` with t >= 2; this selects exactly the non-empty
+    triples, since the count's key is exact (see
+    :func:`suite_connectedness`).  A non-empty class has its witness built
+    and verified once, at d = r, and that answer holds for each of the
+    ``len(range(r, d_max + 1, P))`` d of the class, so a PASS holds for
+    every d.  Along d = r + k*P:
+
+    * :func:`build_witness` picks its least c from d mod t^2, and t^2 | P,
+      so the witness is (t, -c, d_hat + k*P/t^2);
+    * n, a, b and gcd(a, b) do not move, and d_hat >= 1 stays true as
+      d_hat grows;
+    * ``square_split`` and the embedded vector's square are 2d by
+      construction;
+    * ``divisibility_split`` is gcd(a, (2n+2)*b), and the embedded vector's
+      gcd is gcd(a, a*d_hat, (2n+2)*b), the same; neither reads d_hat.
+
+    A class that fails is a failure at each of its d; failures are
+    reported sorted by (n, d, t), since the walk visits d out of order.
     """
     failures, checked = [], 0
     for n, t, r, period in _classes(d_max):
         if t == 1 or component_count(n, r, t).count == 0:
             continue
-        for d in range(r, d_max + 1, period):
-            checked += 1
-            if not verify_witness(build_witness(n, d, t), n, d, t):
-                failures.append((n, d, t))
+        ds = range(r, d_max + 1, period)
+        checked += len(ds)
+        if not verify_witness(build_witness(n, r, t), n, r, t):
+            failures += ((n, d, t) for d in ds)
     lines = [f"checked {checked} non-empty triples with t >= 2, d <= {d_max}"]
     lines += (f"  WITNESS FAILURE at (n,d,t)={triple}" for triple in sorted(failures))
     return SuiteResult("witnesses", not failures, tuple(lines))

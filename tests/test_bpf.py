@@ -6,7 +6,6 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from kummer_moduli import bpf
 from kummer_moduli.bpf import (
     Certificate,
     Piece,
@@ -201,14 +200,22 @@ def test_decide_is_never_unknown_past_the_threshold(pair, offset):
     assert decide(n, certification_threshold(n, t) + offset, t).status != "Unknown"
 
 
-def test_certification_threshold_raises_on_a_shape_that_never_certifies(monkeypatch):
-    # 2L - 3delta fits wherever 2L - delta does, and has top = 2 - 2*k0 < 2
-    # for every d_hat: the walk must stop at k0 = 2 instead of looping
-    monkeypatch.setattr(
-        bpf, "build_witness", lambda n, d, t: SplitClass(n, 2, -3, (d + 9 * (n + 1)) // 4)
-    )
-    with pytest.raises(ArithmeticError):
-        certification_threshold(2, 2)
+def _threshold_by_walk(n, t):
+    """1 + the last Unknown d, walking each class mod (2n+2)^2 through decide to its first settled d."""
+    period, threshold = (2 * n + 2) ** 2, 1
+    for r in range(1, period + 1):
+        d = r
+        while decide(n, d, t).status == "Unknown":
+            threshold = max(threshold, d + 1)
+            d += period
+    return threshold
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_certification_threshold_formula_is_the_walk_through_decide(n):
+    # every t up to 2(2n+2), so the t that do not divide 2n+2 are covered too
+    for t in range(1, 4 * n + 5):
+        assert certification_threshold(n, t) == _threshold_by_walk(n, t), (n, t)
 
 
 @pytest.mark.parametrize("n, t", [(5, 1), (1, 2), (2, 0)])

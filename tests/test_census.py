@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -23,6 +24,7 @@ from kummer_moduli.census import (
     suite_witnesses,
     worker_count,
 )
+from kummer_moduli.witness import build_witness, verify_witness
 
 
 def test_build_row_unknown_example():
@@ -491,6 +493,14 @@ def test_witnesses_suite_reports_a_failure(monkeypatch):
     assert result.lines[1:] == ("  WITNESS FAILURE at (n,d,t)=(3, 28, 8)",)
 
 
+def _non_empty_classes():
+    """Every (n, t, r, P) with t >= 2, r in 1..P and a non-empty count: the classes the suite checks."""
+    return [
+        (n, t, r, period) for n, t, r, period in census._classes(100)
+        if t >= 2 and moduli.component_count(n, r, t).count > 0
+    ]
+
+
 @pytest.mark.parametrize("d_max", [1, 30, 36, 99, 100, 101, 250])
 def test_witnesses_suite_checks_exactly_the_non_empty_triples(monkeypatch, d_max):
     # d_max lies below, at and past P = 36, 64, 100 of n = 2, 3, 4
@@ -516,9 +526,12 @@ def test_witnesses_suite_checks_exactly_the_non_empty_triples(monkeypatch, d_max
         (n, d, t) for n, d, t in moduli.triples((2, 3, 4), d_max)
         if t >= 2 and moduli.component_count(n, d, t).count > 0
     }
+    # one witness per non-empty class, built and verified at its first d
+    firsts = [(n, r, t) for n, t, r, _ in _non_empty_classes() if r <= d_max]
     result = suite_witnesses(d_max)
     assert result.passed is True
-    assert sorted(built) == sorted(verified) == sorted(expected)
+    assert built == verified == firsts
+    assert set(firsts) == {(n, d, t) for n, d, t in expected if d <= (2 * n + 2) ** 2}
     assert result.lines == (
         f"checked {len(expected)} non-empty triples with t >= 2, d <= {d_max}",
     )
@@ -533,8 +546,9 @@ def test_witnesses_suite_checks_the_range_before_any_work(monkeypatch):
 
 
 def test_witnesses_suite_sorts_failures_across_classes(monkeypatch):
-    # (3, t=8) is non-empty at d = 28 and 60 mod 64: the walk checks d = 92 before d = 60
-    failing = {(3, 92, 8), (3, 60, 8)}
+    # n = 3 is non-empty at (t=4, r=44) and (t=8, r=28), (t=8, r=60) mod 64; the walk
+    # visits them in that order, and each fails at every d of its class
+    failing = {(3, 44, 4), (3, 28, 8), (3, 60, 8)}
     visited = []
     verify = census.verify_witness
 
@@ -543,12 +557,14 @@ def test_witnesses_suite_sorts_failures_across_classes(monkeypatch):
         return triple not in failing and verify(w, *triple)
 
     monkeypatch.setattr(census, "verify_witness", failing_verify)
-    result = suite_witnesses(d_max=100)
-    assert visited.index((3, 92, 8)) < visited.index((3, 60, 8))
+    result = suite_witnesses(d_max=150)
+    assert [triple for triple in visited if triple in failing] == [
+        (3, 44, 4), (3, 28, 8), (3, 60, 8),
+    ]
     assert result.passed is False
-    assert result.lines[1:] == (
-        "  WITNESS FAILURE at (n,d,t)=(3, 60, 8)",
-        "  WITNESS FAILURE at (n,d,t)=(3, 92, 8)",
+    assert result.lines[1:] == tuple(
+        f"  WITNESS FAILURE at (n,d,t)={triple}"
+        for triple in [(3, 28, 8), (3, 44, 4), (3, 60, 8), (3, 92, 8), (3, 108, 4), (3, 124, 8)]
     )
 
 
@@ -561,8 +577,64 @@ def test_witnesses_suite_validates_each_witness_vector_once(monkeypatch):
         return check(vec)
 
     monkeypatch.setattr(lattice, "_check_vector", counting_check)
-    result = suite_witnesses(d_max=500)
-    assert result.lines[0] == f"checked {len(calls)} non-empty triples with t >= 2, d <= 500"
+    assert suite_witnesses(d_max=500).passed is True
+    # one vector per non-empty class, each validated once
+    assert len(calls) == len(_non_empty_classes())
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_witness_moves_along_its_class_by_a_shift(k):
+    """Along d = r + k*P the witness is (t, -c, d_hat + k*P/t^2), and it verifies.
+
+    This is the identity that lets the witnesses suite check one d per class.
+    """
+    for n, t, r, period in _non_empty_classes():
+        d, w = r + k * period, build_witness(n, r, t)
+        shifted = build_witness(n, d, t)
+        assert shifted == replace(w, d_hat=w.d_hat + k * period // (t * t)), (n, d, t)
+        assert verify_witness(shifted, n, d, t), (n, d, t)
+
+
+def _witnesses_per_triple(d_max):
+    """The witnesses suite as one build and verify per triple: the reference for the class walk."""
+    failures, checked = [], 0
+    for n, d, t in moduli.triples((2, 3, 4), d_max):
+        if t >= 2 and census.component_count(n, d, t).count > 0:
+            checked += 1
+            if not census.verify_witness(census.build_witness(n, d, t), n, d, t):
+                failures.append((n, d, t))
+    lines = [f"checked {checked} non-empty triples with t >= 2, d <= {d_max}"]
+    lines += (f"  WITNESS FAILURE at (n,d,t)={triple}" for triple in failures)
+    return census.SuiteResult("witnesses", not failures, tuple(lines))
+
+
+def _off_square_on_one_class(build):
+    """``build`` with d_hat one too large on the class (n, t, d mod P) = (3, 8, 28), so its square is off."""
+    def off_square(n, d, t):
+        w = build(n, d, t)
+        if (n, t, d % (2 * n + 2) ** 2) == (3, 8, 28):
+            return replace(w, d_hat=w.d_hat + 1)
+        return w
+    return off_square
+
+
+@pytest.mark.parametrize("mutant", [False, True])
+def test_witnesses_class_walk_agrees_with_a_witness_per_triple(monkeypatch, mutant):
+    if mutant:
+        monkeypatch.setattr(census, "build_witness", _off_square_on_one_class(census.build_witness))
+    # d_max lies below, at and past P = 36, 64, 100 of n = 2, 3, 4
+    for d_max in [*range(1, 301), 5000]:
+        assert suite_witnesses(d_max) == _witnesses_per_triple(d_max), d_max
+
+
+@pytest.mark.parametrize("d_max", [27, 28, 91, 92, 1000])
+def test_witnesses_suite_fails_every_d_of_a_class_off_its_square(monkeypatch, d_max):
+    monkeypatch.setattr(census, "build_witness", _off_square_on_one_class(census.build_witness))
+    result = suite_witnesses(d_max)
+    failing = range(28, d_max + 1, 64)
+    assert result.passed is (not failing)
+    assert result.lines[0] == _witnesses_per_triple(d_max).lines[0]
+    assert result.lines[1:] == tuple(f"  WITNESS FAILURE at (n,d,t)=(3, {d}, 8)" for d in failing)
 
 
 def test_exceptional_suite_reports_an_excluded_triple_that_is_certified_silently(monkeypatch):

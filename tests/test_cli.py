@@ -12,7 +12,7 @@ from pathlib import Path
 import kummer_moduli
 from kummer_moduli import bpf, census, cli, oracle
 from kummer_moduli.bpf import decide
-from kummer_moduli.moduli import triples
+from kummer_moduli.moduli import component_count, triples
 from kummer_moduli.oracle import SearchBounds
 
 CMD = [sys.executable, "-m", "kummer_moduli"]
@@ -463,6 +463,27 @@ def test_verify_connectedness_finishes_for_a_huge_d_max(capsys):
         + "connectedness: PASS\n",
     )
     assert elapsed < 2, elapsed
+
+
+def test_verify_witnesses_finishes_for_a_huge_d_max(capsys):
+    # the suite checks one witness per class mod P = (2n+2)^2, and counts the d of each class
+    d_max = 10**9
+    checked = 0
+    for n in (2, 3, 4):
+        period = (2 * n + 2) ** 2
+        checked += sum(
+            (d_max - r) // period + 1 for _, r, t in triples((n,), period)
+            if t >= 2 and component_count(n, r, t).count > 0
+        )
+    start = time.perf_counter()
+    code = cli.main(["verify", "witnesses", "--d-max", str(d_max)])
+    elapsed = time.perf_counter() - start
+    assert checked == 1082638888
+    assert (code, capsys.readouterr().out) == (
+        0,
+        f"checked {checked} non-empty triples with t >= 2, d <= {d_max}\nwitnesses: PASS\n",
+    )
+    assert elapsed < 1, elapsed
 
 
 def test_closed_stdout_is_not_a_failed_check():
