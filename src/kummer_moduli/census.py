@@ -6,32 +6,29 @@ An n outside {2, 3, 4} or a d_max < 1 is rejected before any row is
 built.  Rows are pure functions of their triple, so the table is
 byte-identical across runs.
 
-Past a finite prefix of each n, rows are periodic, and the census stops
-building them.  With P = (2n+2)^2, call d *settled* when d is past the
-last excluded d of n and none of its rows is Unknown.  The walk keeps,
-for each n, the rows of the first settled d of each residue class mod P
-as templates; every later d of that class is its templates, with d and
-d_hat moved along, and is not built.  This is exact because:
+Past a finite prefix of each n, rows are periodic, and the CLI's writers
+stop building them.  With P = (2n+2)^2, call d *settled* when d is past
+the last excluded d of n and none of its rows is Unknown.  The walk
+keeps, for each n, the text of the rows of the first settled d of each
+residue class mod P as templates; every later d of that class is its
+templates' text, with the d and d_hat cells moved along, and is not
+built.  This is exact because:
 
 * the count and the witness shape depend on d only through d mod P (see
   :func:`witness.build_witness`), and d_hat grows by k*P/t^2;
 * a certified class stays certified a period later, and an Empty class
   stays Empty (see :func:`bpf.certification_threshold`);
 * no excluded d lies past a settled d, so ``in_A`` and ``discrepancy``
-  stay false.
+  stay false;
+* neither format prints a certificate, so none is rebuilt.
 
-The census checks the rule on the rows it builds, so it needs no
+The walk checks the rule on the rows it builds, so it needs no
 threshold in advance.  For n = 2, 3, 4 the first settled period begins
-at d = 2, 93 and 56, and at d_max = 5000 the census builds 1,392 of its
-60,000 rows.
-
-One walk over the periods serves two consumers.  :func:`census_rows`
-shifts rows: it rebuilds the certificate of each shifted row by
-``certify_decomposition`` on the shifted witness, so every row carries
-the certificate :func:`build_row` gives.  The CLI's writers shift text:
-a template row is rendered once, as CSV line or JSON object, and each
-later row is that text with the d and d_hat cells replaced, so no
-certificate is rebuilt, since neither format prints one.
+at d = 2, 93 and 56, and at d_max = 5000 the CLI builds 1,392 of its
+60,000 rows.  :func:`census_rows` is the plain reference: it builds every
+row, each with the certificate :func:`build_row` gives, and the text of
+:func:`rows_to_csv` / :func:`rows_to_json` over it is what the writers
+must match.
 
 The census runs serially: its rows are pure-Python work, so threads only
 contend for the interpreter lock.  The writers, :func:`rows_to_csv`,
@@ -46,18 +43,11 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO, TypeVar
+from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
-from .bpf import (
-    Certificate,
-    certify_decomposition,
-    decide,
-    exceptional_set,
-)
-from .lattice import SplitClass
+from .bpf import Certificate, certification_threshold, decide, exceptional_set
 from .moduli import component_count, triples
 from .oracle import divisibility_crosscheck, nonemptiness_crosscheck
 from .witness import build_witness, verify_witness
@@ -65,9 +55,6 @@ from .witness import build_witness, verify_witness
 CSV_HEADER = "n,d,t,nonempty,components,c_L,c_delta,d_hat,verdict,certificate,in_A,discrepancy"
 
 _FIELDS = CSV_HEADER.split(",")
-
-_Item = TypeVar("_Item")
-_Template = TypeVar("_Template")
 
 
 class CensusRow(NamedTuple):
@@ -111,38 +98,17 @@ def worker_count() -> int:
     return 1
 
 
-def _shifted_row(template: CensusRow, d: int) -> CensusRow:
-    """The row at d, from the row ``template`` of the same (n, t) at a settled d.
+def _periodic(n_set: Iterable[int], d_max: int, fmt: str) -> Iterator[str]:
+    """The text of each census row in ``fmt``, sorted by (n, d, t).
 
-    d - template.d is a multiple of P.  The witness c_L*L + c_delta*delta
-    keeps its shape, and d_hat = (d + (n+1)*c_delta^2) / t^2 grows by
-    (d - template.d) / t^2; the certificate is rebuilt on that witness.
+    A d whose class mod P holds templates yields each kept template's
+    text shifted to d (see :func:`_shifted_text`).  Any other d has its
+    rows built by :func:`build_row` and rendered; if d is settled (see the
+    module docstring) and d + P <= d_max, the :func:`_text_template` of
+    each row is kept for its class.  The range is checked on the first
+    ``next``, before any row is built.
     """
-    n, d0, t, nonempty, count, c_l, c_delta, d_hat, verdict, kind, in_a, discrepancy, cert = template
-    if d_hat is not None:
-        d_hat += (d - d0) // (t * t)
-        cert = certify_decomposition(SplitClass(n, c_l, c_delta, d_hat))
-    return tuple.__new__(CensusRow, (
-        n, d, t, nonempty, count, c_l, c_delta, d_hat, verdict, kind, in_a, discrepancy, cert,
-    ))
-
-
-def _periodic(
-    n_set: Iterable[int],
-    d_max: int,
-    render: Callable[[CensusRow], _Item],
-    template: Callable[[CensusRow, _Item], _Template],
-    shift: Callable[[_Template, int], _Item],
-) -> Iterator[_Item]:
-    """The census one item at a time, sorted by (n, d, t).
-
-    A d whose class mod P holds templates yields ``shift(kept, d)`` for
-    each kept template.  Any other d has its rows built by
-    :func:`build_row` and yielded as ``render(row)``; if d is settled
-    (see the module docstring) and d + P <= d_max, ``template(row,
-    item)`` of each row is kept for its class.  The range is checked on
-    the first ``next``, before any row is built.
-    """
+    render, sep = _FORMATS[fmt][:2]
     ns = sorted(set(n_set))
     next(triples(ns, d_max), None)  # the range check
     for n in ns:
@@ -150,30 +116,34 @@ def _periodic(
         divisors = [t for _, _, t in triples((n,), 1)]
         last_excluded = max((d for m, d, _ in exceptional_set() if m == n), default=0)
         # the templates of each class mod P, empty until a d of the class settles
-        settled: list[list[_Template]] = [[] for _ in range(period)]
+        settled: list[list[tuple]] = [[] for _ in range(period)]
         for d in range(1, d_max + 1):
             kept = settled[d % period]
             if kept:
-                for kept_template in kept:
-                    yield shift(kept_template, d)
+                for template in kept:
+                    yield _shifted_text(template, d)
                 continue
             # settles: d is past the excluded d, d + P <= d_max, and no row so far is Unknown
             templates, settles = [], d > last_excluded and d + period <= d_max
             for t in divisors:
                 row = build_row(n, d, t)
-                item = render(row)
+                text = render(row)
                 if settles:
                     settles = row.verdict != "Unknown"
-                    templates.append(template(row, item))
-                yield item
+                    templates.append(_text_template(row, text, sep))
+                yield text
             if settles:
                 settled[d % period] = templates
 
 
 def census_rows(n_set: Iterable[int], d_max: int) -> list[CensusRow]:
-    """All census rows for the given dimensions, sorted by (n, d, t), each with its certificate."""
+    """All census rows for the given dimensions, sorted by (n, d, t), each with its certificate.
+
+    Every row is built by :func:`build_row`: this is the reference the
+    writers' periodic text is checked against.
+    """
     worker_count()
-    return list(_periodic(n_set, d_max, lambda row: row, lambda row, _: row, _shifted_row))
+    return [build_row(*triple) for triple in triples(n_set, d_max)]
 
 
 # writerow returns what its file's write returns, and str(line) is line
@@ -276,9 +246,7 @@ def _write_table(n_set: Iterable[int], d_max: int, fmt: str, handle: TextIO) -> 
     rebuilt: neither format prints one.  The table is written in batches
     of a fixed number of rows.
     """
-    render, sep = _FORMATS[fmt][:2]
-    texts = _periodic(n_set, d_max, render, partial(_text_template, sep=sep), _shifted_text)
-    _write(texts, fmt, handle)
+    _write(_periodic(n_set, d_max, fmt), fmt, handle)
 
 
 @dataclass(frozen=True)
@@ -391,9 +359,27 @@ def suite_exceptional(d_max: int = 500) -> SuiteResult:
     The permitted deviation is a member of the excluded set that the
     search certifies anyway (reported as a discrepancy row); an Unknown
     triple outside the excluded set is always a violation.
+
+    The suite reads the rows of ``census_rows`` only for d <= min(d_max,
+    cap), where cap is the largest of the excluded d and of
+    ``certification_threshold(n, t) + t^2 - 1`` over n in {2, 3, 4} and
+    t | 2n+2 (156 today), and its verdict holds for every d:
+
+    * for d <= cap it reads the rows a walk to d_max would;
+    * a class of d mod t^2 stays certified from its first certified d on
+      (see :func:`bpf.certification_threshold`), and that d is at most
+      the threshold - 1 + t^2 <= cap, so ``decide`` is still asked at it
+      and no d > cap is Unknown;
+    * no excluded d lies past cap, so no row past it has ``in_A`` or
+      ``discrepancy``.
     """
-    rows = census_rows((2, 3, 4), d_max)
-    expected = {triple for triple in exceptional_set() if triple[1] <= d_max}
+    excluded = exceptional_set()
+    cap = max(
+        *(certification_threshold(n, t) + t * t - 1 for n, _, t in triples((2, 3, 4), 1)),
+        *(d for _, d, _ in excluded),
+    )
+    rows = census_rows((2, 3, 4), min(d_max, cap))
+    expected = {triple for triple in excluded if triple[1] <= d_max}
     unknown = {(r.n, r.d, r.t) for r in rows if r.verdict == "Unknown"}
     discrepant = {(r.n, r.d, r.t) for r in rows if r.discrepancy}
 

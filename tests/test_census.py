@@ -17,7 +17,6 @@ from kummer_moduli.census import (
     census_rows,
     rows_to_csv,
     rows_to_json,
-    _shifted_row,
     suite_connectedness,
     suite_divisibility,
     suite_exceptional,
@@ -168,9 +167,9 @@ def test_census_per_row_call_budget(monkeypatch):
     components: the rule alone says whether a witness exists.
     build_row must call decide and build_witness itself: the traced
     benchmark reads those spans under each build_row span, and the
-    worker_count span under census_rows.  The prefix is d < start(n) + P:
-    at d <= 60 the n = 2 rows past d = 37 are shifted from a settled d
-    and make no call at all.
+    worker_count span under census_rows.  census_rows builds every row;
+    the CLI's writers build only the prefix d < start(n) + P: at d <= 60
+    the n = 2 rows past d = 37 are shifted text from a settled d.
     """
     calls = {"component_count": 0, "decide": 0, "build_witness": 0, "worker_count": 0}
     per_row = []
@@ -197,46 +196,30 @@ def test_census_per_row_call_budget(monkeypatch):
     monkeypatch.setattr(census, "build_row", counted_build_row)
 
     rows = census_rows([2, 3, 4], 60)
-    assert len(rows) == 4 * 60 * 3 and len(per_row) == 4 * (37 + 60 + 60)
+    assert len(rows) == len(per_row) == 4 * 60 * 3
     assert any(witness_row for _, witness_row in per_row)
     for spent, witness_row in per_row:
         assert spent == (1, 1, 1 if witness_row else 0)
     assert calls["component_count"] == calls["decide"] == len(per_row)
     assert calls["worker_count"] == 1
 
-
-def test_census_call_counts_at_5000(monkeypatch):
-    """build_row runs on the prefix only; one certify_decomposition per witness row.
-
-    The prefix is d < start(n) + P: past it, every d lies in the class of
-    a settled d.  A witness row's certificate comes from decide on the
-    prefix and from the template shift after it.
-    """
-    calls = {"build_row": 0, "certify_decomposition": 0}
-
-    def counting(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(census, "build_row", counting("build_row", census.build_row))
-    counted = counting("certify_decomposition", bpf.certify_decomposition)
-    for module in (bpf, census):
-        monkeypatch.setattr(module, "certify_decomposition", counted)
-
-    rows = census_rows([2, 3, 4], 5000)
-    assert len(rows) == 60000
-    # d <= 37, 156 and 155 for n = 2, 3, 4, four t each
-    assert calls["build_row"] == 4 * (37 + 156 + 155) == 1392
-    assert calls["certify_decomposition"] == sum(r.c_L is not None for r in rows) == 5411
+    per_row.clear()
+    _table_text([2, 3, 4], 60, "csv")
+    assert len(per_row) == 4 * (37 + 60 + 60)
+    assert calls["worker_count"] == 1
 
 
 def test_stream_equals_build_row_at_1000():
     assert census_rows((2, 3, 4), 1000) == [
         build_row(*triple) for triple in moduli.triples((2, 3, 4), 1000)
     ]
+
+
+def _table_text(ns, d_max, fmt):
+    """The text the CLI writes for ``kummer census NS --d-max D --format FMT``."""
+    buffer = io.StringIO()
+    census._write_table(ns, d_max, fmt, buffer)
+    return buffer.getvalue()
 
 
 def _start_and_period(n):
@@ -266,7 +249,7 @@ def test_census_builds_exactly_the_prefix(monkeypatch, n):
     # every d >= start(n) is settled, so the first settled period is [start(n), start(n) + P)
     start, period = _start_and_period(n)
     built = _counting_build_row(monkeypatch)
-    census_rows([n], start + 2 * period)
+    _table_text([n], start + 2 * period, "csv")
     assert built == list(moduli.triples((n,), start + period - 1))
 
 
@@ -285,25 +268,26 @@ def test_census_shifts_no_class_with_an_unknown_row(monkeypatch):
         return row
 
     _counting_build_row(monkeypatch, patched)
-    assert census_rows([2], 200) == [patched(*triple) for triple in moduli.triples((2,), 200)]
+    expected = rows_to_csv([patched(*triple) for triple in moduli.triples((2,), 200)])
+    assert _table_text([2], 200, "csv") == expected
 
 
-@given(st.sampled_from([2, 3, 4]), st.data(), st.integers(0, 10**9))
-def test_shifted_row_equals_build_row(n, data, offset):
-    start, period = _start_and_period(n)
-    t = data.draw(st.sampled_from([t for _, _, t in moduli.triples((n,), 1)]))
-    d = start + offset
-    row = _shifted_row(build_row(n, start + offset % period, t), d)
-    assert row == build_row(n, d, t)
-    cert = row.certificate_detail
-    assert cert is None or bpf.certificate_is_valid(n, d, t, cert)
+def test_census_call_counts_at_5000(monkeypatch):
+    """The writers build the prefix only; one certify_decomposition per built witness row.
 
+    The prefix is d < start(n) + P: past it, every d lies in the class of
+    a settled d, and its text is shifted with no certificate rebuilt.
+    """
+    built = _counting_build_row(monkeypatch)
+    calls = []
+    certify = bpf.certify_decomposition
+    monkeypatch.setattr(bpf, "certify_decomposition", lambda w: calls.append(w) or certify(w))
 
-def _table_text(ns, d_max, fmt):
-    """The text the CLI writes for ``kummer census NS --d-max D --format FMT``."""
-    buffer = io.StringIO()
-    census._write_table(ns, d_max, fmt, buffer)
-    return buffer.getvalue()
+    assert _table_text([2, 3, 4], 5000, "csv").count("\n") == 60001
+    # d <= 37, 156 and 155 for n = 2, 3, 4, four t each
+    assert len(built) == 4 * (37 + 156 + 155) == 1392
+    witness_rows = sum(t >= 2 and moduli.component_count(n, d, t).count > 0 for n, d, t in built)
+    assert len(calls) == witness_rows == 124
 
 
 def _assert_table_text_equals_rows(ns, d_max):
@@ -317,6 +301,7 @@ def _assert_table_text_equals_rows(ns, d_max):
     st.integers(1, 400),
 )
 @example([2, 3, 4], 400)  # shifts the d_hat of witness rows of every n
+@example([2, 3, 4], 1000)
 def test_shifted_text_equals_rows(ns, d_max):
     _assert_table_text_equals_rows(ns, d_max)
 
@@ -644,3 +629,64 @@ def test_exceptional_suite_reports_an_excluded_triple_that_is_certified_silently
     result = suite_exceptional(d_max=10)
     assert result.passed is False
     assert "  VIOLATION (2, 5, 2): excluded but neither Unknown nor discrepant" in result.lines
+
+
+def _exceptional_per_triple(rows, d_max):
+    """The exceptional suite over every row with d <= d_max: the reference for the capped walk."""
+    rows = [r for r in rows if r.d <= d_max]
+    expected = {triple for triple in census.exceptional_set() if triple[1] <= d_max}
+    unknown = {(r.n, r.d, r.t) for r in rows if r.verdict == "Unknown"}
+    discrepant = {(r.n, r.d, r.t) for r in rows if r.discrepancy}
+    lines = [
+        f"census n in {{2,3,4}}, d <= {d_max}",
+        f"unknown triples: {sorted(unknown)}",
+        f"expected exclusions in range: {sorted(expected)}",
+    ]
+    lines += (f"  DISCREPANCY {triple}: excluded but certified (reported, permitted)"
+              for triple in sorted(discrepant))
+    extra = sorted(unknown - expected)
+    missing = sorted(expected - unknown - discrepant)
+    lines += (f"  VIOLATION {triple}: Unknown but not in the excluded set" for triple in extra)
+    lines += (f"  VIOLATION {triple}: excluded but neither Unknown nor discrepant"
+              for triple in missing)
+    return census.SuiteResult("exceptional", not extra and not missing, tuple(lines))
+
+
+@pytest.mark.parametrize("mutant", [False, True])
+def test_exceptional_suite_agrees_with_every_row(monkeypatch, mutant):
+    if mutant:
+        excluded = census.exceptional_set() | {(2, 5, 2)}
+        monkeypatch.setattr(census, "exceptional_set", lambda: excluded)
+    rows = [build_row(*triple) for triple in moduli.triples((2, 3, 4), 1000)]
+    for d_max in [*range(1, 301), 1000]:
+        assert suite_exceptional(d_max) == _exceptional_per_triple(rows, d_max), d_max
+
+
+def test_exceptional_suite_reads_no_row_past_the_cap(monkeypatch):
+    built = _counting_build_row(monkeypatch)
+    suite_exceptional(10**9)
+    assert max(d for _, d, _ in built) == 156
+    assert len(built) == 4 * 156 * 3
+
+
+@pytest.mark.parametrize("d_max", [156, 500, 10**9])
+def test_exceptional_suite_fails_when_the_first_certified_d_of_a_class_is_refused(
+    monkeypatch, d_max
+):
+    # (3, 156, 8) is the first certified d of the class of (3, 92, 8) mod 64: its witness
+    # is 8L - 3delta with d_hat = 3, and it lies at the cap
+    refused = lattice.SplitClass(3, 8, -3, 3)
+    assert build_witness(3, 156, 8) == refused
+    before = suite_exceptional(155)
+    certify = bpf.certify_decomposition
+    monkeypatch.setattr(bpf, "certify_decomposition", lambda w: None if w == refused else certify(w))
+    result = suite_exceptional(d_max)
+    assert result.passed is False
+    assert "  VIOLATION (3, 156, 8): Unknown but not in the excluded set" in result.lines
+    assert suite_exceptional(155) == before
+
+
+def test_exceptional_suite_checks_the_range_before_any_row(monkeypatch):
+    monkeypatch.setattr(census, "build_row", lambda *triple: pytest.fail("built"))
+    with pytest.raises(ValueError, match="d_max must be >= 1"):
+        suite_exceptional(0)

@@ -292,9 +292,9 @@ def test_cli_census_call_counts_at_5000(monkeypatch, tmp_path):
 
     monkeypatch.setattr(census, "build_row", counting("build_row", census.build_row))
     monkeypatch.setattr(census, "decide", decide_marked)
-    counted = counting("certify_decomposition", bpf.certify_decomposition)
-    for module in (bpf, census):
-        monkeypatch.setattr(module, "certify_decomposition", counted)
+    monkeypatch.setattr(
+        bpf, "certify_decomposition", counting("certify_decomposition", bpf.certify_decomposition)
+    )
 
     argv = ["census", "2", "3", "4", "--d-max", "5000", "--out", str(tmp_path / "f")]
     assert cli.main(argv) == 0
@@ -483,6 +483,20 @@ def test_verify_witnesses_finishes_for_a_huge_d_max(capsys):
         0,
         f"checked {checked} non-empty triples with t >= 2, d <= {d_max}\nwitnesses: PASS\n",
     )
+    assert elapsed < 1, elapsed
+
+
+def test_verify_exceptional_finishes_for_a_huge_d_max(capsys):
+    # the suite reads rows only up to the cap d = 156, past which no d is Unknown or excluded
+    assert cli.main(["verify", "exceptional", "--d-max", "500"]) == 1
+    at_500 = capsys.readouterr().out.splitlines()
+    start = time.perf_counter()
+    code = cli.main(["verify", "exceptional", "--d-max", "1000000000"])
+    elapsed = time.perf_counter() - start
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[0] == "census n in {2,3,4}, d <= 1000000000"
+    assert lines[1:] == at_500[1:]
     assert elapsed < 1, elapsed
 
 
