@@ -6,27 +6,27 @@ An n outside {2, 3, 4} or a d_max < 1 is rejected before any row is
 built.  Rows are pure functions of their triple, so the table is
 byte-identical across runs.
 
-Past a finite prefix of each n, rows are periodic, and the CLI's writers
-stop building them.  With P = (2n+2)^2, call d *settled* when d is past
-the last excluded d of n and none of its rows is Unknown.  The walk
-keeps, for each n, the text of the rows of the first settled d of each
-residue class mod P as templates; every later d of that class is its
-templates' text, with the d and d_hat cells moved along, and is not
-built.  This is exact because:
+Past a finite prefix of each n, rows are periodic.  With P = (2n+2)^2,
+the prefix ends at ``_prefix(n)`` = D + P - 1, where D is the
+largest of 1 + the last excluded d of n and the
+:func:`bpf.certification_threshold` of each t | 2n+2: 37, 156 and 155 for
+n = 2, 3, 4.  Every row at d > _prefix(n) is the row at d - P with d and
+d_hat (grown by P/t^2) moved along, because from D on:
 
+* no d of n is excluded, so ``in_A`` and ``discrepancy`` are false;
+* no d of n is Unknown, since a certified class stays certified (see
+  :func:`bpf.certification_threshold`);
 * the count and the witness shape depend on d only through d mod P (see
-  :func:`witness.build_witness`), and d_hat grows by k*P/t^2;
-* a certified class stays certified a period later, and an Empty class
-  stays Empty (see :func:`bpf.certification_threshold`);
-* no excluded d lies past a settled d, so ``in_A`` and ``discrepancy``
-  stay false;
-* neither format prints a certificate, so none is rebuilt.
+  :func:`witness.build_witness`).
 
-The walk checks the rule on the rows it builds, so it needs no
-threshold in advance.  For n = 2, 3, 4 the first settled period begins
-at d = 2, 93 and 56, and at d_max = 5000 the CLI builds 1,392 of its
-60,000 rows.  :func:`census_rows` is the plain reference: it builds every
-row, each with the certificate :func:`build_row` gives, and the text of
+The first certified d of each class mod t^2 is at most t^2 - 1 + the
+threshold <= _prefix(n), as t^2 <= P, so ``decide`` is still asked at it.  The CLI's
+writers and :func:`suite_exceptional` both take their rows from
+:func:`census_rows` up to min(d_max, _prefix(n)) only; the writers shift
+the text of the last period of the prefix to every later d, and at
+d_max = 5000 build 1,392 of their 60,000 rows.  Called with a larger
+d_max, :func:`census_rows` is the plain reference: it builds every row,
+each with the certificate :func:`build_row` gives, and the text of
 :func:`rows_to_csv` / :func:`rows_to_json` over it is what the writers
 must match.
 
@@ -93,54 +93,51 @@ def worker_count() -> int:
 
     It exists only for the benchmark: ``perfbench/ops.py`` calls it for
     its machine facts and ``perfbench/layers.py`` reads its span inside
-    :func:`census_rows`.
+    :func:`census_rows`, which runs once per n of a CLI census.
     """
     return 1
+
+
+def _prefix(n: int) -> int:
+    """The last d of n whose census rows are built; later rows are shifted (see the module)."""
+    last_excluded = max((d for m, d, _ in exceptional_set() if m == n), default=0)
+    start = max(1 + last_excluded, *(certification_threshold(n, t) for _, _, t in triples((n,), 1)))
+    return start + (2 * n + 2) ** 2 - 1
 
 
 def _periodic(n_set: Iterable[int], d_max: int, fmt: str) -> Iterator[str]:
     """The text of each census row in ``fmt``, sorted by (n, d, t).
 
-    A d whose class mod P holds templates yields each kept template's
-    text shifted to d (see :func:`_shifted_text`).  Any other d has its
-    rows built by :func:`build_row` and rendered; if d is settled (see the
-    module docstring) and d + P <= d_max, the :func:`_text_template` of
-    each row is kept for its class.  The range is checked on the first
-    ``next``, before any row is built.
+    The rows of d <= min(d_max, ``_prefix(n)``) come from
+    :func:`census_rows` and are rendered.  Each row of the last period of
+    the prefix with d + P <= d_max keeps its :func:`_text_template`, and
+    every later d yields its class's templates shifted to d (see
+    :func:`_shifted_text`); the module docstring proves this exact.  The
+    range is checked on the first ``next``, before any row is built.
     """
     render, sep = _FORMATS[fmt][:2]
     ns = sorted(set(n_set))
     next(triples(ns, d_max), None)  # the range check
     for n in ns:
-        period = (2 * n + 2) ** 2
-        divisors = [t for _, _, t in triples((n,), 1)]
-        last_excluded = max((d for m, d, _ in exceptional_set() if m == n), default=0)
-        # the templates of each class mod P, empty until a d of the class settles
-        settled: list[list[tuple]] = [[] for _ in range(period)]
-        for d in range(1, d_max + 1):
-            kept = settled[d % period]
-            if kept:
-                for template in kept:
-                    yield _shifted_text(template, d)
-                continue
-            # settles: d is past the excluded d, d + P <= d_max, and no row so far is Unknown
-            templates, settles = [], d > last_excluded and d + period <= d_max
-            for t in divisors:
-                row = build_row(n, d, t)
-                text = render(row)
-                if settles:
-                    settles = row.verdict != "Unknown"
-                    templates.append(_text_template(row, text, sep))
-                yield text
-            if settles:
-                settled[d % period] = templates
+        period, prefix = (2 * n + 2) ** 2, _prefix(n)
+        templates: list[list[tuple]] = [[] for _ in range(period)]
+        for row in census_rows((n,), min(d_max, prefix)):
+            text = render(row)
+            if prefix - period < row.d <= d_max - period:
+                templates[row.d % period].append(_text_template(row, text, sep))
+            yield text
+        for d in range(prefix + 1, d_max + 1):
+            for template in templates[d % period]:
+                yield _shifted_text(template, d)
 
 
 def census_rows(n_set: Iterable[int], d_max: int) -> list[CensusRow]:
     """All census rows for the given dimensions, sorted by (n, d, t), each with its certificate.
 
-    Every row is built by :func:`build_row`: this is the reference the
-    writers' periodic text is checked against.
+    Every row is built by :func:`build_row`.  The CLI's writers and
+    :func:`suite_exceptional` call it for the prefix of each n; over a
+    longer range it is the reference the writers' periodic text is
+    checked against.
     """
     worker_count()
     return [build_row(*triple) for triple in triples(n_set, d_max)]
@@ -160,9 +157,14 @@ def _csv_line(row: CensusRow) -> str:
     ))
 
 
+# encodes the members of a row object as json.dumps(table, indent=2) places them; with
+# no indent, the encoder is the C one
+_JSON_MEMBERS = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+
+
 def _json_object(row: CensusRow) -> str:
     """The JSON object of a row, keyed by the CSV header, as it stands in the table."""
-    return json.dumps(dict(zip(_FIELDS, row)), indent=2).replace("\n", "\n  ")
+    return "{\n    " + _JSON_MEMBERS(dict(zip(_FIELDS, row)))[1:-1] + "\n  }"
 
 
 def _text_template(row: CensusRow, text: str, sep: str) -> tuple:
@@ -360,26 +362,13 @@ def suite_exceptional(d_max: int = 500) -> SuiteResult:
     search certifies anyway (reported as a discrepancy row); an Unknown
     triple outside the excluded set is always a violation.
 
-    The suite reads the rows of ``census_rows`` only for d <= min(d_max,
-    cap), where cap is the largest of the excluded d and of
-    ``certification_threshold(n, t) + t^2 - 1`` over n in {2, 3, 4} and
-    t | 2n+2 (156 today), and its verdict holds for every d:
-
-    * for d <= cap it reads the rows a walk to d_max would;
-    * a class of d mod t^2 stays certified from its first certified d on
-      (see :func:`bpf.certification_threshold`), and that d is at most
-      the threshold - 1 + t^2 <= cap, so ``decide`` is still asked at it
-      and no d > cap is Unknown;
-    * no excluded d lies past cap, so no row past it has ``in_A`` or
-      ``discrepancy``.
+    The suite reads the rows the CLI census builds, ``census_rows((n,),
+    min(d_max, _prefix(n)))`` for each n, and its verdict holds for every
+    d: no row past ``_prefix(n)`` is Unknown, has ``in_A`` or has
+    ``discrepancy`` (see the module docstring).
     """
-    excluded = exceptional_set()
-    cap = max(
-        *(certification_threshold(n, t) + t * t - 1 for n, _, t in triples((2, 3, 4), 1)),
-        *(d for _, d, _ in excluded),
-    )
-    rows = census_rows((2, 3, 4), min(d_max, cap))
-    expected = {triple for triple in excluded if triple[1] <= d_max}
+    rows = [row for n in (2, 3, 4) for row in census_rows((n,), min(d_max, _prefix(n)))]
+    expected = {triple for triple in exceptional_set() if triple[1] <= d_max}
     unknown = {(r.n, r.d, r.t) for r in rows if r.verdict == "Unknown"}
     discrepant = {(r.n, r.d, r.t) for r in rows if r.discrepancy}
 

@@ -168,8 +168,8 @@ def test_census_per_row_call_budget(monkeypatch):
     build_row must call decide and build_witness itself: the traced
     benchmark reads those spans under each build_row span, and the
     worker_count span under census_rows.  census_rows builds every row;
-    the CLI's writers build only the prefix d < start(n) + P: at d <= 60
-    the n = 2 rows past d = 37 are shifted text from a settled d.
+    the CLI's writers call it once per n for the prefix d <= _prefix(n):
+    at d <= 60 the n = 2 rows past d = 37 are shifted text.
     """
     calls = {"component_count": 0, "decide": 0, "build_witness": 0, "worker_count": 0}
     per_row = []
@@ -206,7 +206,7 @@ def test_census_per_row_call_budget(monkeypatch):
     per_row.clear()
     _table_text([2, 3, 4], 60, "csv")
     assert len(per_row) == 4 * (37 + 60 + 60)
-    assert calls["worker_count"] == 1
+    assert calls["worker_count"] == 4
 
 
 def test_stream_equals_build_row_at_1000():
@@ -223,7 +223,7 @@ def _table_text(ns, d_max, fmt):
 
 
 def _start_and_period(n):
-    """(start(n), P): from start(n) on no d of n is excluded or Unknown, so every d is settled."""
+    """(start(n), P): from start(n) on no d of n is excluded or Unknown, so rows repeat mod P."""
     excluded = [d for m, d, _ in bpf.exceptional_set() if m == n]
     start = max(
         1 + max(excluded, default=0),
@@ -246,44 +246,27 @@ def _counting_build_row(monkeypatch, build=build_row):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_census_builds_exactly_the_prefix(monkeypatch, n):
-    # every d >= start(n) is settled, so the first settled period is [start(n), start(n) + P)
+    # the built prefix is d < start(n) + P, that is d <= census._prefix(n)
     start, period = _start_and_period(n)
     built = _counting_build_row(monkeypatch)
     _table_text([n], start + 2 * period, "csv")
     assert built == list(moduli.triples((n,), start + period - 1))
 
 
-def test_census_shifts_no_class_with_an_unknown_row(monkeypatch):
-    """A class whose rows come out Unknown is built at every d, never shifted.
-
-    The patched build_row gives Unknown at (2, d, 2) for d = 5 mod 36,
-    where the real one certifies; a census that shifted the class from an
-    unchecked threshold would still certify d = 41, 77, ...
-    """
-
-    def patched(n, d, t):
-        row = build_row(n, d, t)
-        if (n, t) == (2, 2) and d % 36 == 5:
-            return row._replace(verdict="Unknown", certificate=None, certificate_detail=None)
-        return row
-
-    _counting_build_row(monkeypatch, patched)
-    expected = rows_to_csv([patched(*triple) for triple in moduli.triples((2,), 200)])
-    assert _table_text([2], 200, "csv") == expected
-
-
-def test_census_call_counts_at_5000(monkeypatch):
+@pytest.mark.parametrize("d_max", [5000, 20000])
+def test_census_call_counts_at_5000(monkeypatch, d_max):
     """The writers build the prefix only; one certify_decomposition per built witness row.
 
-    The prefix is d < start(n) + P: past it, every d lies in the class of
-    a settled d, and its text is shifted with no certificate rebuilt.
+    The prefix is d <= census._prefix(n) = start(n) + P - 1: past it, every
+    d has its text shifted from the last period of the prefix, with no
+    certificate rebuilt, so the counts stay flat in d_max.
     """
     built = _counting_build_row(monkeypatch)
     calls = []
     certify = bpf.certify_decomposition
     monkeypatch.setattr(bpf, "certify_decomposition", lambda w: calls.append(w) or certify(w))
 
-    assert _table_text([2, 3, 4], 5000, "csv").count("\n") == 60001
+    assert _table_text([2, 3, 4], d_max, "csv").count("\n") == 12 * d_max + 1
     # d <= 37, 156 and 155 for n = 2, 3, 4, four t each
     assert len(built) == 4 * (37 + 156 + 155) == 1392
     witness_rows = sum(t >= 2 and moduli.component_count(n, d, t).count > 0 for n, d, t in built)
@@ -312,6 +295,41 @@ def test_shifted_text_equals_rows_at_the_first_shift(n):
     start, period = _start_and_period(n)
     for d_max in (start + period - 1, start + period, start + period + 1):
         _assert_table_text_equals_rows([n], d_max)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_prefix_ends_with_a_period_that_repeats(n):
+    # the last period of the prefix is the one every later d is shifted from
+    start, period = _start_and_period(n)
+    prefix = census._prefix(n)
+    assert prefix == start + period - 1 == {2: 37, 3: 156, 4: 155}[n]
+    last_period = [row for row in census_rows([n], prefix) if row.d > prefix - period]
+    assert len(last_period) == period * len(census_rows([n], 1))
+    assert all(row.verdict != "Unknown" and not row.in_A for row in last_period)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_census_shift_from_a_period_too_early_changes_the_text(monkeypatch, n):
+    # a prefix one d short shifts the rows of start(n) - 1, which differ a period later
+    prefix = census._prefix
+    d_max = prefix(n) + (2 * n + 2) ** 2
+    monkeypatch.setattr(census, "_prefix", lambda m: prefix(m) - 1)
+    assert _table_text([n], d_max, "csv") != rows_to_csv(census_rows([n], d_max))
+
+
+def test_an_excluded_d_past_the_thresholds_moves_the_prefix(monkeypatch):
+    # (2, 101, 2) is certified, so once excluded its row is a discrepancy and d = 137 is not
+    monkeypatch.setattr(bpf, "_EXCEPTIONAL_TRIPLES", bpf.exceptional_set() | {(2, 101, 2)})
+    assert census._prefix(2) == 101 + 36
+    assert build_row(2, 101, 2).discrepancy and not build_row(2, 137, 2).in_A
+    _assert_table_text_equals_rows([2], 300)
+
+
+def test_the_thresholds_alone_give_the_prefix_with_no_excluded_d(monkeypatch):
+    # the thresholds 2, 93 and 56 are 1 + the last Unknown d of n = 2, 3, 4
+    monkeypatch.setattr(census, "exceptional_set", frozenset)
+    assert [census._prefix(n) for n in (2, 3, 4)] == [37, 156, 155]
+    _assert_table_text_equals_rows([2, 3, 4], 400)
 
 
 def test_batched_writers_match_their_oracles():
@@ -632,7 +650,7 @@ def test_exceptional_suite_reports_an_excluded_triple_that_is_certified_silently
 
 
 def _exceptional_per_triple(rows, d_max):
-    """The exceptional suite over every row with d <= d_max: the reference for the capped walk."""
+    """The exceptional suite over every row with d <= d_max: the reference for the prefix walk."""
     rows = [r for r in rows if r.d <= d_max]
     expected = {triple for triple in census.exceptional_set() if triple[1] <= d_max}
     unknown = {(r.n, r.d, r.t) for r in rows if r.verdict == "Unknown"}
@@ -665,8 +683,21 @@ def test_exceptional_suite_agrees_with_every_row(monkeypatch, mutant):
 def test_exceptional_suite_reads_no_row_past_the_cap(monkeypatch):
     built = _counting_build_row(monkeypatch)
     suite_exceptional(10**9)
-    assert max(d for _, d, _ in built) == 156
-    assert len(built) == 4 * 156 * 3
+    assert built == [
+        triple for n in (2, 3, 4) for triple in moduli.triples((n,), census._prefix(n))
+    ]
+    # d <= 37, 156 and 155 for n = 2, 3, 4, four t each
+    assert len(built) == 4 * (37 + 156 + 155) == 1392
+
+
+@pytest.mark.parametrize("d_max", [1, 36, 37, 38, 155, 156, 157, 5000])
+def test_exceptional_suite_builds_the_triples_of_the_census(monkeypatch, d_max):
+    built = _counting_build_row(monkeypatch)
+    suite_exceptional(d_max)
+    from_suite = built[:]
+    built.clear()
+    _table_text([2, 3, 4], d_max, "csv")
+    assert from_suite == built
 
 
 @pytest.mark.parametrize("d_max", [156, 500, 10**9])
@@ -674,7 +705,7 @@ def test_exceptional_suite_fails_when_the_first_certified_d_of_a_class_is_refuse
     monkeypatch, d_max
 ):
     # (3, 156, 8) is the first certified d of the class of (3, 92, 8) mod 64: its witness
-    # is 8L - 3delta with d_hat = 3, and it lies at the cap
+    # is 8L - 3delta with d_hat = 3, and 156 = census._prefix(3), the last built d of n = 3
     refused = lattice.SplitClass(3, 8, -3, 3)
     assert build_witness(3, 156, 8) == refused
     before = suite_exceptional(155)

@@ -487,7 +487,7 @@ def test_verify_witnesses_finishes_for_a_huge_d_max(capsys):
 
 
 def test_verify_exceptional_finishes_for_a_huge_d_max(capsys):
-    # the suite reads rows only up to the cap d = 156, past which no d is Unknown or excluded
+    # the suite reads rows of d <= census._prefix(n) only; past it no d is Unknown or excluded
     assert cli.main(["verify", "exceptional", "--d-max", "500"]) == 1
     at_500 = capsys.readouterr().out.splitlines()
     start = time.perf_counter()
