@@ -184,16 +184,29 @@ def default_bounds(n: int, d: int, t: int) -> SearchBounds:
 def nonemptiness_crosscheck(n: int, d_max: int) -> list[tuple[int, int, int]]:
     """Triples the count theorem calls non-empty but the search cannot hit.
 
-    Scans the triples of :func:`moduli.triples` for this n, so n must be
-    in {2, 3, 4} and d_max >= 1.  One-directional: theorem-non-empty must
-    imply a lattice class exists in the box of :func:`default_bounds`.
-    That claim is existence, so the search is asked for one class per
-    triple (``limit=1``).  Returns violations (expected: none).
+    n must be in {2, 3, 4} and d_max >= 1.  A non-empty count must imply
+    a class in the box of :func:`default_bounds`; one is enough
+    (``limit=1``).  Returns the violations (expected: none), sorted.
+
+    With P = (2n+2)^2 the search runs once per non-empty class (n, r, t)
+    of d mod P, r <= min(P, d_max); a failure is a violation at each
+    d <= d_max of its class.  Both answers hold along the class:
+
+    * the count's key (n, t, d mod P) is exact (see :mod:`moduli`);
+    * a primitive a*lam + b*delta of square 2d and divisibility t has
+      t | a, gcd(b, t) = 1, t^2 | a^2 | d + (n+1)b^2 and t | 2n+2.  For
+      t >= 2, c = +-b mod t in 1..t/2 keeps t^2 | d + (n+1)c^2 (see
+      :func:`witness.build_witness`): a class exists iff some
+      t*lam - c*delta does, a condition on d mod t^2, and t^2 | P;
+    * the box holds a = t and b = -c: max_a = 2n+2+t, and max_b >= 4 >= c,
+      as c <= t/2 is prime to t | 2n+2 <= 10.  For t = 1, a = 1 hits at
+      the first b.
     """
+    period = (2 * n + 2) ** 2
     violations = []
-    for _, d, t in triples((n,), d_max):
-        if component_count(n, d, t).count == 0:
+    for _, r, t in triples((n,), min(period, d_max)):
+        if component_count(n, r, t).count == 0:
             continue
-        if not enumerate_primitive_classes(n, d, t, default_bounds(n, d, t), limit=1):
-            violations.append((n, d, t))
-    return violations
+        if not enumerate_primitive_classes(n, r, t, default_bounds(n, r, t), limit=1):
+            violations += ((n, d, t) for d in range(r, d_max + 1, period))
+    return sorted(violations)

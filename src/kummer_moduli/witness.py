@@ -21,8 +21,9 @@ from math import gcd
 
 from .lattice import (
     SplitClass,
-    _square_and_divisibility,
+    bb_square,
     divisibility_split,
+    divisibility_vector,
     embed,
     square_split,
 )
@@ -71,7 +72,7 @@ def verify_witness(w: SplitClass, n: int, d: int, t: int) -> bool:
     c_delta <= -1 — the decomposition certifiers rely on a negative delta
     coefficient), primitivity, d_hat >= 1, the square and divisibility in
     split form, and the same two values again on the embedded concrete
-    vector, which is validated once for both.
+    vector.
     """
     if w.n != n or w.a < 1 or w.b > -1:
         return False
@@ -79,4 +80,5 @@ def verify_witness(w: SplitClass, n: int, d: int, t: int) -> bool:
         return False
     if square_split(w) != 2 * d or divisibility_split(w) != t:
         return False
-    return _square_and_divisibility(embed(w), n) == (2 * d, t)
+    v = embed(w)
+    return bb_square(v, n) == 2 * d and divisibility_vector(v, n) == t

@@ -9,6 +9,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import kummer_moduli
 from kummer_moduli import bpf, census, cli, oracle
 from kummer_moduli.bpf import decide
@@ -452,15 +454,17 @@ def test_verify_texts_pinned(capsys):
         assert (code, capsys.readouterr().out) == expected, argv
 
 
-def test_verify_connectedness_finishes_for_a_huge_d_max(capsys):
-    # the suite reads one count per class mod (2n+2)^2, so its time does not grow with d_max
+@pytest.mark.parametrize("suite", ["connectedness", "nonemptiness"])
+def test_verify_suite_finishes_for_a_huge_d_max(capsys, suite):
+    # each suite reads one count (and searches once) per class mod (2n+2)^2,
+    # so its time does not grow with d_max
     start = time.perf_counter()
-    code = cli.main(["verify", "connectedness", "--d-max", "1000000000"])
+    code = cli.main(["verify", suite, "--d-max", "1000000000"])
     elapsed = time.perf_counter() - start
     assert (code, capsys.readouterr().out) == (
         0,
         "".join(_VIOLATIONS.format(n=n, d=1000000000) for n in (2, 3, 4))
-        + "connectedness: PASS\n",
+        + f"{suite}: PASS\n",
     )
     assert elapsed < 2, elapsed
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from kummer_moduli import lattice
 from kummer_moduli.lattice import (
@@ -160,40 +160,6 @@ def test_square_is_the_self_pairing_and_checks_once(v, n):
         square = bb_square(v, n)
     assert calls == [v]
     assert square == pairing(v, v, n)
-
-
-def _value_or_error(f, *args):
-    try:
-        return f(*args)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-
-
-# the right length, a wrong length, or one coordinate that is not an integer
-any_vectors = st.one_of(
-    coords,
-    st.lists(st.integers(-30, 30), max_size=10).filter(lambda v: len(v) != RANK),
-    st.tuples(coords, st.integers(0, RANK - 1), st.sampled_from([1.5, "3", None])).map(
-        lambda c: c[0][: c[1]] + (c[2],) + c[0][c[1] + 1 :]
-    ),
-)
-
-
-@given(any_vectors, st.sampled_from([1, 2, 3, 4, 10**6]))
-@example((0,) * RANK, 2)
-@example((1, 0, 0), 2)
-@example((1.5, 0, 0, 0, 0, 0, 0), 2)
-@example(E1, 1)
-def test_square_and_divisibility_is_the_public_pair(v, n):
-    both = _value_or_error(lattice._square_and_divisibility, v, n)
-    square = _value_or_error(bb_square, v, n)
-    divisibility = _value_or_error(divisibility_vector, v, n)
-    if isinstance(divisibility, int):
-        assert both == (square, divisibility)
-    else:
-        # every input the pair rejects, divisibility_vector rejects, the zero vector included
-        assert both == divisibility
-        assert square == divisibility or not any(v)
 
 
 @given(nonzero_coords, st.integers(-6, 6).filter(lambda k: k != 0), st.sampled_from([2, 3, 4]))

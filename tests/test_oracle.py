@@ -312,14 +312,57 @@ def test_nonemptiness_crosscheck_small():
     assert nonemptiness_crosscheck(2, 50) == []
 
 
-def _nonempty_triples(n, d_max):
-    return [(n, d, t) for _, d, t in triples((n,), d_max) if component_count(n, d, t).count > 0]
+def _nonemptiness_per_triple(n, d_max):
+    """The crosscheck as one search per non-empty triple: the reference for the class walk."""
+    violations = []
+    for _, d, t in triples((n,), d_max):
+        if component_count(n, d, t).count == 0:
+            continue
+        if not enumerate_primitive_classes(n, d, t, oracle.default_bounds(n, d, t), limit=1):
+            violations.append((n, d, t))
+    return violations
+
+
+def _nonempty_classes(n, d_max):
+    # one (n, r, t) per class of d mod P with a non-empty count, in walk order
+    period = (2 * n + 2) ** 2
+    return [
+        (n, r, t) for _, r, t in triples((n,), min(period, d_max))
+        if component_count(n, r, t).count > 0
+    ]
+
+
+@pytest.mark.parametrize("starved", [False, True])
+def test_nonemptiness_crosscheck_equals_the_per_triple_walk(monkeypatch, starved):
+    # the starved box misses every non-empty triple with t >= 2, so the lists are not empty
+    if starved:
+        monkeypatch.setattr(oracle, "default_bounds", lambda n, d, t: SearchBounds(1, 1))
+    for n in (2, 3, 4):
+        reference = _nonemptiness_per_triple(n, 5000)
+        assert bool(reference) == starved
+        for d_max in [*range(1, 401), 1000, 5000]:
+            expected = [v for v in reference if v[1] <= d_max]
+            assert nonemptiness_crosscheck(n, d_max) == expected, (n, d_max)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 50])
+def test_nonemptiness_answers_do_not_move_along_a_class(k):
+    """The count and the search answer at r + k*P equal those at r: the lemma of the class walk."""
+    for n in (2, 3, 4):
+        period = (2 * n + 2) ** 2
+        for _, r, t in triples((n,), period):
+            d = r + k * period
+            assert component_count(n, d, t).count == component_count(n, r, t).count, (n, r, t)
+            found = enumerate_primitive_classes(n, d, t, default_bounds(n, d, t), limit=1)
+            at_r = enumerate_primitive_classes(n, r, t, default_bounds(n, r, t), limit=1)
+            assert bool(found) == bool(at_r), (n, r, t)
 
 
 def test_nonemptiness_crosscheck_calls_the_search_once_per_nonempty_triple(monkeypatch):
-    # perfbench/layers.py takes oracle.enumerate_hit_ratio as hits over these
-    # calls and fails when there are none, so the crosscheck must call the
-    # public function once per non-empty triple, not a private early-exit scan
+    # the triples searched are the walk's (n, r, t), one per non-empty class of
+    # d mod P.  perfbench/layers.py takes oracle.enumerate_hit_ratio as hits
+    # over these calls and fails when there are none, so the crosscheck must
+    # call the public function once per such triple, not a private early-exit scan
     calls = []
 
     def counted(n, d, t, bounds, **kwargs):
@@ -331,13 +374,14 @@ def test_nonemptiness_crosscheck_calls_the_search_once_per_nonempty_triple(monke
     for n in (2, 3, 4):
         calls.clear()
         assert nonemptiness_crosscheck(n, 100) == []
-        assert [triple for triple, _, _ in calls] == _nonempty_triples(n, 100)
+        assert [triple for triple, _, _ in calls] == _nonempty_classes(n, 100)
         assert all(kwargs == {"limit": 1} for _, kwargs, _ in calls)
         assert all(len(found) == 1 for _, _, found in calls)
 
 
 def test_nonemptiness_crosscheck_builds_one_class_per_nonempty_triple(monkeypatch):
-    # counts before wall clock: a return to full-list scans builds ~21 classes a triple
+    # one SplitClass per non-empty class of d mod P; counts before wall clock:
+    # a return to full-list scans builds ~21 classes a search
     built = []
 
     def counted(*args):
@@ -348,7 +392,7 @@ def test_nonemptiness_crosscheck_builds_one_class_per_nonempty_triple(monkeypatc
     for n in (2, 3, 4):
         built.clear()
         assert nonemptiness_crosscheck(n, 100) == []
-        assert len(built) == len(_nonempty_triples(n, 100))
+        assert len(built) == len(_nonempty_classes(n, 100))
 
 
 def test_nonemptiness_crosscheck_fails_on_a_starved_box(monkeypatch):
