@@ -269,19 +269,6 @@ def suite_divisibility(coord_bound: int = 3) -> SuiteResult:
     return SuiteResult("divisibility", ok, tuple(lines))
 
 
-def _classes(d_max: int) -> Iterator[tuple[int, int, int, int]]:
-    """Every (n, t, r, P) with n in {2, 3, 4}, t | 2n+2, P = (2n+2)^2 and r in 1..min(P, d_max).
-
-    Sorted by (n, t, r); the range is checked on the first ``next``, before any class.
-    """
-    next(triples((2, 3, 4), d_max), None)  # the range check
-    for n in (2, 3, 4):
-        period = (2 * n + 2) ** 2
-        for _, _, t in triples((n,), 1):
-            for r in range(1, min(period, d_max) + 1):
-                yield n, t, r, period
-
-
 def suite_connectedness(d_max: int = 500) -> SuiteResult:
     """Every space with n in {2, 3, 4}, d <= d_max and t | 2n+2 has at most one component.
 
@@ -289,18 +276,21 @@ def suite_connectedness(d_max: int = 500) -> SuiteResult:
     space is precondition-empty and needs no check.  For n in {2, 3, 4} the
     count is the table entry keyed by (n, t, d mod P), and that key is
     exact (see the :mod:`moduli` docstring), so the walk reads
-    ``component_count(n, r, t)`` once per class of :func:`_classes`, and a
-    PASS holds for every d.  A count outside {0, 1} is a violation at each
-    d <= d_max of its class; each n reports how many, and the first 20 by (d, t).
+    ``component_count(n, r, t)`` once per (n, r, t) of ``triples((n,),
+    min(P, d_max))``, one per class of d mod P, and a PASS holds for every
+    d.  A count outside {0, 1} is a violation at each d <= d_max of its
+    class; each n reports how many, and the first 20 by (d, t).
     """
     total = dict.fromkeys((2, 3, 4), 0)
     first: dict[int, list] = {n: [] for n in total}
-    for n, t, r, period in _classes(d_max):
-        count = component_count(n, r, t).count
-        if count not in (0, 1):
-            ds = range(r, d_max + 1, period)
-            total[n] += len(ds)
-            first[n] += ((d, t, count) for d in ds[:20])
+    for n in total:
+        period = (2 * n + 2) ** 2
+        for _, r, t in triples((n,), min(period, d_max)):
+            count = component_count(n, r, t).count
+            if count not in (0, 1):
+                ds = range(r, d_max + 1, period)
+                total[n] += len(ds)
+                first[n] += ((d, t, count) for d in ds[:20])
     lines = []
     for n, found in total.items():
         lines.append(f"n={n} d<={d_max}: {found} violation(s)")
@@ -322,13 +312,13 @@ def suite_nonemptiness(d_max: int = 100) -> SuiteResult:
 def suite_witnesses(d_max: int = 500) -> SuiteResult:
     """The witness of every non-empty triple with t >= 2 and d <= d_max verifies.
 
-    The walk reads ``component_count(n, r, t)`` once per class of
-    :func:`_classes` with t >= 2; this selects exactly the non-empty
-    triples, since the count's key is exact (see
-    :func:`suite_connectedness`).  A non-empty class has its witness built
-    and verified once, at d = r, and that answer holds for each of the
-    ``len(range(r, d_max + 1, P))`` d of the class, so a PASS holds for
-    every d.  Along d = r + k*P:
+    The walk reads ``component_count(n, r, t)`` once per (n, r, t) of
+    ``triples((n,), min(P, d_max))`` with t >= 2, one per class of d mod P;
+    this selects exactly the non-empty triples, since the count's key is
+    exact (see :func:`suite_connectedness`).  A non-empty class has its
+    witness built and verified once, at d = r, and that answer holds for
+    each of the ``len(range(r, d_max + 1, P))`` d of the class, so a PASS
+    holds for every d.  Along d = r + k*P:
 
     * :func:`build_witness` picks its least c from d mod t^2, and t^2 | P,
       so the witness is (t, -c, d_hat + k*P/t^2);
@@ -343,13 +333,15 @@ def suite_witnesses(d_max: int = 500) -> SuiteResult:
     reported sorted by (n, d, t), since the walk visits d out of order.
     """
     failures, checked = [], 0
-    for n, t, r, period in _classes(d_max):
-        if t == 1 or component_count(n, r, t).count == 0:
-            continue
-        ds = range(r, d_max + 1, period)
-        checked += len(ds)
-        if not verify_witness(build_witness(n, r, t), n, r, t):
-            failures += ((n, d, t) for d in ds)
+    for n in (2, 3, 4):
+        period = (2 * n + 2) ** 2
+        for _, r, t in triples((n,), min(period, d_max)):
+            if t == 1 or component_count(n, r, t).count == 0:
+                continue
+            ds = range(r, d_max + 1, period)
+            checked += len(ds)
+            if not verify_witness(build_witness(n, r, t), n, r, t):
+                failures += ((n, d, t) for d in ds)
     lines = [f"checked {checked} non-empty triples with t >= 2, d <= {d_max}"]
     lines += (f"  WITNESS FAILURE at (n,d,t)={triple}" for triple in sorted(failures))
     return SuiteResult("witnesses", not failures, tuple(lines))

@@ -8,19 +8,21 @@ derived integers
     g  = gcd(2d, 2n+2) / t       w  = gcd(g, t)
     g1 = g / w                   t1 = t / w
 
-through a four-way case split (a, b, c, d), shared by the regimes t > 2
-and t <= 2.  The case is the first whose hypotheses hold, and a single
-quadratic-residue test then decides between it and an empty space (see
-:func:`_count_chain` for why this is exact); the tag of the case (1a 1b
-1c 2 for t > 2, 3a 3b 3c 3d for t <= 2) is reported alongside the count
-so tables stay auditable.
+through the case split (a, b, c, d) of the count theorem, shared by the
+regimes t > 2 and t <= 2.  Case c needs w, g1 and t1 all odd, but
+w^2 * g1 * t1 = gcd(2d, 2n+2) is even, so it never holds and the chain
+tries a, b and d only.  The case is the first whose hypotheses hold, and
+a single quadratic-residue test then decides between it and an empty
+space (see :func:`_count_chain` for why this is exact); the tag of the
+case (1a 1b 2 for t > 2, 3a 3b 3d for t <= 2) is reported alongside the
+count so tables stay auditable.
 
-The regime t > 2 adds one parity rule to two cases (d1 even in case c,
-t1 even in case d) and counts components multiplicatively:
+The regime t > 2 adds one parity rule to case d (t1 even) and counts
+components multiplicatively:
 
     w_plus(t1) * phi(w_minus(t1)) * 2^(rho(l) - 1)
 
-with l = t1 in cases a, b, c and l = t1/2 in case d.  When rho(l) = 0 the
+with l = t1 in cases a, b and l = t1/2 in case d.  When rho(l) = 0 the
 power is the exact rational 1/2; the product is provably integral under
 each case's hypotheses, and this module evaluates it exactly (asserting
 integrality) rather than rounding.  Defining the power as 1 instead
@@ -57,9 +59,9 @@ from .arith import factorize, is_quadratic_residue
 
 EMPTY_TAGS = ("4-empty", "precondition-empty")
 
-# case tags a, b, c, d of the regimes t > 2 and t <= 2
-_TAGS_T_ABOVE_2 = ("1a", "1b", "1c", "2")
-_TAGS_T_UP_TO_2 = ("3a", "3b", "3c", "3d")
+# case tags a, b, d of the regimes t > 2 and t <= 2 (case c never holds)
+_TAGS_T_ABOVE_2 = ("1a", "1b", "2")
+_TAGS_T_UP_TO_2 = ("3a", "3b", "3d")
 
 
 @dataclass(frozen=True)
@@ -145,27 +147,24 @@ def _halved_power_count(w: int, t1: int, l: int) -> int:
 def _count_chain(
     n1: int, w: int, g1: int, t1: int, d1: int, above_2: bool
 ) -> CountResult:
-    """The case chain a, b, c, d on the derived integers.
+    """The case chain a, b, d on the derived integers.
 
-    The case is the first of a-d whose hypotheses hold (none: 4-empty);
-    then one quadratic-residue test, of -d1/denominator mod modulus,
-    decides between that case and 4-empty.  No later case could match
-    once the chosen case's residue test fails, so this is the chain that
-    tries a-d in order, each hypothesis with its residue test:
+    The count theorem's case c is left out: it needs w, g1 and t1 all
+    odd, but w^2 * g1 * t1 = gcd(2d, 2n+2) is even, so it never holds.
+    The case is the first of a, b, d whose hypotheses hold (none:
+    4-empty); then one quadratic-residue test, of -d1/denominator mod
+    modulus, decides between that case and 4-empty.  No later case could
+    match once the chosen case's residue test fails, so this is the chain
+    that tries a, b, d in order, each hypothesis with its residue test:
 
-    * case a needs g1 even, and b, c and d need it odd;
-    * for t > 2, b, c and d need (t1 odd, d1 odd), (t1 odd, d1 even) and
-      t1 even, so at most one of them holds;
-    * for t <= 2, t1 divides t, so it is 1 or 2.  Cases b and c need t1
-      odd, so they test residues mod 2 and mod 1, where every number is
-      a square.
-
-    Case c can never match: it needs w, g1 and t1 all odd, but
-    w^2 * g1 * t1 = gcd(2d, 2n+2) is even.  It is kept so that the chain
-    mirrors the case split of the count theorem.
+    * case a needs g1 even, and b and d need it odd;
+    * for t > 2, b and d need (t1 odd, d1 odd) and t1 even, so at most
+      one of them holds;
+    * for t <= 2, t1 divides t, so it is 1 or 2.  Case b needs t1 odd, so
+      it tests a residue mod 2, where every number is a square.
     """
     coprime_t1 = gcd(d1, t1) == 1
-    # hypotheses shared by cases b, c and d
+    # hypotheses shared by cases b and d
     coprime_odd_g1 = g1 % 2 == 1 and coprime_t1 and gcd(n1, 2 * t1) == 1
 
     # each case's hypotheses make its denominator a unit mod its modulus
@@ -173,10 +172,8 @@ def _count_chain(
         case, denominator, modulus = 0, n1, t1
     elif coprime_odd_g1 and t1 % 2 == 1 and d1 % 2 == 1:
         case, denominator, modulus = 1, n1, 2 * t1
-    elif coprime_odd_g1 and t1 % 2 == 1 and w % 2 == 1 and (not above_2 or d1 % 2 == 0):
-        case, denominator, modulus = 2, 4 * n1, t1
     elif coprime_odd_g1 and (not above_2 or t1 % 2 == 0):
-        case, denominator, modulus = 3, n1, 2 * t1
+        case, denominator, modulus = 2, n1, 2 * t1
     else:
         return _FOUR_EMPTY
     if not is_quadratic_residue(_neg_ratio(d1, denominator, modulus), modulus):
@@ -184,7 +181,7 @@ def _count_chain(
 
     if not above_2:
         return _ONE_COMPONENT[case]
-    l = t1 // 2 if case == 3 else t1
+    l = t1 // 2 if case == 2 else t1
     return CountResult(_halved_power_count(w, t1, l), _TAGS_T_ABOVE_2[case])
 
 

@@ -2,7 +2,7 @@
 
 The divisibility crosscheck proves its formula from the Gram matrix
 before it scans anything.  numpy is used only by its fallback box scan
-(a tracemalloc peak of 11.3 MB at n = 4, coord_bound = 3), which the
+(a tracemalloc peak of 10.4 MB at n = 4, coord_bound = 3), which the
 library's own Gram matrix never reaches.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd, isqrt
 
 import numpy as np
@@ -126,18 +125,15 @@ def divisibility_crosscheck(
     box is scanned as the fallback, which returns the same list a
     per-vector scan would.
 
-    The fallback walks the box one slab per value v0 of the first
+    The fallback scans the box one slab per value v0 of the first
     coordinate; the other six coordinates form one (6, (2b+1)^6) int64
-    array shared by every slab.  Pairing row i is gram[0][i]*v0 +
-    sum_{j>=1} gram[j][i]*v_j, so the sums are built once, and the rows
-    with gram[0][i] == 0 are folded into one gcd once; a slab only gcds
-    in the rows that move with v0.  The formula is gcd(v0, gcd(v1..v5,
-    2(n+1)v6)), and its inner gcd is also built once.  All of it is exact
-    integer arithmetic, so every slab sees the values a per-vector
-    computation would.  The zero vector needs no special case: its ideal
-    and formula are both 0.  At (n, coord_bound) = (4, 3) the fallback's
-    tracemalloc peak is 11.3 MB: the shared array (5.6 MB) and a few rows
-    of 0.94 MB each.
+    array shared by every slab.  A slab gcds its seven pairing rows,
+    sum_j gram[j][i]*v_j, into one array and compares it with the formula
+    gcd(v0..v5, 2(n+1)v6).  All of it is exact integer arithmetic, so
+    every slab sees the values a per-vector computation would.  The zero
+    vector needs no special case: its ideal and formula are both 0.  At
+    (n, coord_bound) = (4, 3) the fallback's tracemalloc peak is 10.4 MB:
+    the shared array (5.6 MB) and five rows of 0.94 MB each.
     """
     if coord_bound < 1:
         raise ValueError(f"coord_bound must be >= 1, got {coord_bound}")
@@ -147,24 +143,13 @@ def divisibility_crosscheck(
     b = coord_bound
     rest = np.indices((2 * b + 1,) * 6, dtype=np.int64).reshape(6, -1)
     rest -= b
-    fixed_gcd = np.zeros(rest.shape[1], dtype=np.int64)
-    moving = []
-    for i in range(7):
-        part = np.zeros(rest.shape[1], dtype=np.int64)
-        for j in range(1, 7):
-            if gram[j][i]:
-                part += gram[j][i] * rest[j - 1]
-        if gram[0][i]:
-            moving.append((gram[0][i], part))
-        else:
-            np.gcd(fixed_gcd, part, out=fixed_gcd)
-    inner = np.gcd(reduce(np.gcd, rest[:5]), 2 * (n + 1) * rest[5])
     mismatches = []
     for first in range(-b, b + 1):
-        ideal_gcd = fixed_gcd
-        for coeff, part in moving:
-            ideal_gcd = np.gcd(ideal_gcd, part + coeff * first)
-        formula = np.gcd(inner, first)
+        vector = (first, *rest)
+        ideal_gcd = np.zeros(rest.shape[1], dtype=np.int64)
+        for column in zip(*gram):
+            np.gcd(ideal_gcd, sum(g * x for g, x in zip(column, vector) if g), out=ideal_gcd)
+        formula = np.gcd(np.gcd(np.gcd.reduce(rest[:5]), 2 * (n + 1) * rest[5]), first)
         for i in np.flatnonzero(ideal_gcd != formula):
             mismatches.append(
                 ((first, *(int(x) for x in rest[:, i])), int(ideal_gcd[i]), int(formula[i]))

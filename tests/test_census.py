@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, strategies as st
 
-from kummer_moduli import bpf, census, lattice, moduli
+from kummer_moduli import bpf, census, lattice, moduli, oracle
 from kummer_moduli.census import (
     CSV_HEADER,
     CensusRow,
@@ -427,8 +427,9 @@ def _connectedness_per_triple(d_max):
 
 
 # the classes (n, t, d mod P) where a periodic mutant count gives components=2: two of
-# n = 3, which the walk visits (t=2, r=40) before (t=8, r=3), so their lines interleave
-# by d, and one of n = 2, whose own lines fill the 20-line cut
+# n = 3, which the walk visits (r=3, t=8) before (r=40, t=2), so their lines interleave
+# by d (3, 40, 67, ...) only once sorted, and one of n = 2, whose own lines fill the
+# 20-line cut
 _MUTANT_CLASSES = {(3, 2, 40), (3, 8, 3), (2, 3, 7)}
 
 
@@ -480,6 +481,34 @@ def test_connectedness_suite_reads_each_count_once_per_class(monkeypatch, d_max)
     assert len(counted) == sum(4 * min((2 * n + 2) ** 2, d_max) for n in (2, 3, 4))
 
 
+@pytest.mark.parametrize("d_max", [1, 35, 36, 37, 100, 5000])
+def test_class_walks_read_the_counts_of_one_triples_walk(monkeypatch, d_max):
+    # connectedness, nonemptiness and witnesses all walk triples((n,), min(P, d_max)):
+    # one (n, r, t) per class of d mod P, in (n, r, t) order
+    walk = [
+        (n, r, t) for n in (2, 3, 4)
+        for _, r, t in moduli.triples((n,), min((2 * n + 2) ** 2, d_max))
+    ]
+    counted = []
+    count = moduli.component_count
+
+    def record_count(*triple):
+        counted.append(triple)
+        return count(*triple)
+
+    monkeypatch.setattr(census, "component_count", record_count)
+    monkeypatch.setattr(oracle, "component_count", record_count)
+    assert suite_connectedness(d_max).passed is True
+    assert counted == walk
+    counted.clear()
+    for n in (2, 3, 4):
+        assert oracle.nonemptiness_crosscheck(n, d_max) == []
+    assert counted == walk
+    counted.clear()
+    assert suite_witnesses(d_max).passed is True
+    assert counted == [(n, r, t) for n, r, t in walk if t >= 2]
+
+
 def test_connectedness_suite_checks_the_range_before_any_count(monkeypatch):
     monkeypatch.setattr(census, "component_count", lambda *triple: pytest.fail("counted"))
     with pytest.raises(ValueError, match="d_max must be >= 1"):
@@ -497,9 +526,13 @@ def test_witnesses_suite_reports_a_failure(monkeypatch):
 
 
 def _non_empty_classes():
-    """Every (n, t, r, P) with t >= 2, r in 1..P and a non-empty count: the classes the suite checks."""
+    """Every (n, r, t, P) with t >= 2, r in 1..P and a non-empty count: the classes the suite checks.
+
+    In the suite's walk order, that of ``moduli.triples((n,), P)``.
+    """
     return [
-        (n, t, r, period) for n, t, r, period in census._classes(100)
+        (n, r, t, (2 * n + 2) ** 2) for n in (2, 3, 4)
+        for _, r, t in moduli.triples((n,), (2 * n + 2) ** 2)
         if t >= 2 and moduli.component_count(n, r, t).count > 0
     ]
 
@@ -530,7 +563,7 @@ def test_witnesses_suite_checks_exactly_the_non_empty_triples(monkeypatch, d_max
         if t >= 2 and moduli.component_count(n, d, t).count > 0
     }
     # one witness per non-empty class, built and verified at its first d
-    firsts = [(n, r, t) for n, t, r, _ in _non_empty_classes() if r <= d_max]
+    firsts = [(n, r, t) for n, r, t, _ in _non_empty_classes() if r <= d_max]
     result = suite_witnesses(d_max)
     assert result.passed is True
     assert built == verified == firsts
@@ -549,8 +582,9 @@ def test_witnesses_suite_checks_the_range_before_any_work(monkeypatch):
 
 
 def test_witnesses_suite_sorts_failures_across_classes(monkeypatch):
-    # n = 3 is non-empty at (t=4, r=44) and (t=8, r=28), (t=8, r=60) mod 64; the walk
-    # visits them in that order, and each fails at every d of its class
+    # n = 3 is non-empty at (r=28, t=8), (r=44, t=4) and (r=60, t=8) mod 64; the walk
+    # visits them in that order, and each fails at every d of its class, so the
+    # failures come out as 28, 92, 44, 108, 60, 124 and only the sort orders them
     failing = {(3, 44, 4), (3, 28, 8), (3, 60, 8)}
     visited = []
     verify = census.verify_witness
@@ -562,7 +596,7 @@ def test_witnesses_suite_sorts_failures_across_classes(monkeypatch):
     monkeypatch.setattr(census, "verify_witness", failing_verify)
     result = suite_witnesses(d_max=150)
     assert [triple for triple in visited if triple in failing] == [
-        (3, 44, 4), (3, 28, 8), (3, 60, 8),
+        (3, 28, 8), (3, 44, 4), (3, 60, 8),
     ]
     assert result.passed is False
     assert result.lines[1:] == tuple(
@@ -592,7 +626,7 @@ def test_witness_moves_along_its_class_by_a_shift(k):
 
     This is the identity that lets the witnesses suite check one d per class.
     """
-    for n, t, r, period in _non_empty_classes():
+    for n, r, t, period in _non_empty_classes():
         d, w = r + k * period, build_witness(n, r, t)
         shifted = build_witness(n, d, t)
         assert shifted == replace(w, d_hat=w.d_hat + k * period // (t * t)), (n, d, t)
