@@ -23,27 +23,29 @@ The first certified d of each class mod t^2 is at most t^2 - 1 + the
 threshold <= _prefix(n), as t^2 <= P, so ``decide`` is still asked at it.  The CLI's
 writers and :func:`suite_exceptional` both take their rows from
 :func:`census_rows` up to min(d_max, _prefix(n)) only; the writers shift
-the text of the last period of the prefix to every later d, and at
-d_max = 5000 build 1,392 of their 60,000 rows.  Called with a larger
-d_max, :func:`census_rows` is the plain reference: it builds every row,
-each with the certificate :func:`build_row` gives, and the text of
-:func:`rows_to_csv` / :func:`rows_to_json` over it is what the writers
-must match.
+the text of the last period of the prefix to every later period, as one
+block of text per period, and at d_max = 5000 build 1,392 of their
+60,000 rows.  Called with a larger d_max, :func:`census_rows` is the
+plain reference: it builds every row, each with the certificate
+:func:`build_row` gives, and the text of :func:`rows_to_csv` /
+:func:`rows_to_json` over it is what the writers must match.
 
 The census runs serially: its rows are pure-Python work, so threads only
 contend for the interpreter lock.  The writers, :func:`rows_to_csv`,
-:func:`rows_to_json` and the CLI's, share one table of formats and write
-in batches of a fixed number of rows, so a census streams in memory that
-stays flat in d_max; :func:`census_rows` holds the whole table.
+:func:`rows_to_json` and the CLI's, share one table of formats.  The
+CLI's writer writes the built prefix of one n (at most 624 rows) or one
+period block (at most P <= 100 values of d, 400 rows) at a time, so a
+census streams in memory that stays flat in d_max; :func:`census_rows`
+and :func:`rows_to_csv` / :func:`rows_to_json` hold the whole table.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, repeat
+from operator import add, itemgetter, mul
 from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
@@ -106,29 +108,29 @@ def _prefix(n: int) -> int:
 
 
 def _periodic(n_set: Iterable[int], d_max: int, fmt: str) -> Iterator[str]:
-    """The text of each census row in ``fmt``, sorted by (n, d, t).
+    """The census text in ``fmt``, sorted by (n, d, t), as pieces of whole rows.
 
+    Each piece is a run of rows joined by the format's row separator.
     The rows of d <= min(d_max, ``_prefix(n)``) come from
-    :func:`census_rows` and are rendered.  Each row of the last period of
-    the prefix with d + P <= d_max keeps its :func:`_text_template`, and
-    every later d yields its class's templates shifted to d (see
-    :func:`_shifted_text`); the module docstring proves this exact.  The
+    :func:`census_rows` and are rendered as one piece per n.  Each row of
+    the last period of the prefix with d + P <= d_max keeps its
+    :func:`_text_template`, and every later period is one piece (see
+    :func:`_period_blocks`); the module docstring proves this exact.  The
     range is checked on the first ``next``, before any row is built.
     """
-    render, sep = _FORMATS[fmt][:2]
+    render, sep, _, row_sep = _FORMATS[fmt][:4]
     ns = sorted(set(n_set))
     next(triples(ns, d_max), None)  # the range check
     for n in ns:
         period, prefix = (2 * n + 2) ** 2, _prefix(n)
-        templates: list[list[tuple]] = [[] for _ in range(period)]
+        texts, templates = [], []
         for row in census_rows((n,), min(d_max, prefix)):
-            text = render(row)
+            texts.append(render(row))
             if prefix - period < row.d <= d_max - period:
-                templates[row.d % period].append(_text_template(row, text, sep))
-            yield text
-        for d in range(prefix + 1, d_max + 1):
-            for template in templates[d % period]:
-                yield _shifted_text(template, d)
+                templates.append(_text_template(row, texts[-1], sep))
+        yield row_sep.join(texts)
+        if templates:
+            yield from _period_blocks(templates, period, row_sep, d_max - prefix)
 
 
 def census_rows(n_set: Iterable[int], d_max: int) -> list[CensusRow]:
@@ -168,45 +170,89 @@ def _json_object(row: CensusRow) -> str:
 
 
 def _text_template(row: CensusRow, text: str, sep: str) -> tuple:
-    """The text of a template row, cut around its d and d_hat, for :func:`_shifted_text`.
+    """The text of a row cut around its d and d_hat, for :func:`_period_blocks`.
 
-    ``text`` splits at ``sep`` into the cells of the row: the CSV cells,
-    or the JSON members.  Cells 1 and 7 end in the values of d and d_hat,
-    which are ints and so never quoted.  In a row with no witness d_hat
-    is empty or null and does not move.
+    Returns (texts, d, d_hat, inc): the literal texts between which the
+    values of d and, in a witness row, of d_hat stand, and the growth of
+    d_hat per period, P/t^2.  ``text`` splits at ``sep`` into the cells of
+    the row: the CSV cells, or the JSON members.  Cells 1 and 7 end in
+    the values of d and d_hat, which are ints and so never quoted.  In a
+    row with no witness d_hat is empty or null and does not move.
     """
     cells = text.split(sep, 8)
     head = cells[0] + sep + cells[1][: -len(str(row.d))]
     if row.d_hat is None:
-        return head, sep + sep.join(cells[2:]), "", row.d, None, 1
+        return (head, sep + sep.join(cells[2:])), row.d, None, None
     mid = sep + sep.join(cells[2:7]) + sep + cells[7][: -len(str(row.d_hat))]
-    return head, mid, sep + cells[8], row.d, row.d_hat, row.t * row.t
+    inc = (2 * row.n + 2) ** 2 // (row.t * row.t)
+    return (head, mid, sep + cells[8]), row.d, row.d_hat, inc
 
 
-def _shifted_text(template: tuple, d: int) -> str:
-    """The text of the row at d, from its template's :func:`_text_template`."""
-    head, mid, tail, d0, d_hat0, step = template
-    if d_hat0 is None:
-        return head + str(d) + mid
-    return head + str(d) + mid + str(d_hat0 + (d - d0) // step) + tail
+def _period_blocks(templates: list[tuple], period: int, row_sep: str, count: int) -> Iterator[str]:
+    """The text of the ``count`` d after the templates' period, one piece per period.
+
+    ``templates`` are the :func:`_text_template` of the rows of the first
+    min(P, count) d of one period, d = first, first + 1, ..., sorted by
+    (d, t).  Period m >= 1 holds the same rows at d + m*P with
+    d_hat + m*P/t^2, so its text is one list, built here once, in which
+    the literal texts of the templates, with ``row_sep`` between rows,
+    alternate with slots for the values.  Per period, ``str`` runs once
+    per d and once per witness row's d_hat, and one ``itemgetter`` picks
+    the literals and values in text order for one join.  The last period,
+    cut short by ``count``, is the same list cut after the last row of
+    its last d.
+    """
+    first, span = templates[0][1], min(period, count)
+    base = [d_hat for _, _, d_hat, _ in templates if d_hat is not None]
+    inc = [step for _, _, d_hat, step in templates if d_hat is not None]
+    # a period's pool: its span values of d, then its witness rows' d_hat, then the
+    # literals, of which the first is the row separator
+    literals, order = [row_sep], []
+    ends = [0] * span  # ends[r]: the length of ``order`` through the rows of d = first + r
+    witness, offset = span, span + len(base)
+    for texts, d, d_hat, _ in templates:
+        at = offset + len(literals)
+        if order:
+            order.append(offset)
+        if d_hat is None:
+            order += at, d - first, at + 1
+        else:
+            order += at, d - first, at + 1, witness, at + 2
+            witness += 1
+        literals += texts
+        ends[d - first] = len(order)
+    whole, rest = divmod(count, period)
+    getters = repeat(itemgetter(*order), whole)
+    if rest:
+        getters = chain(getters, (itemgetter(*order[: ends[rest - 1]]),))
+    for m, pick in enumerate(getters, 1):
+        ds = map(str, range(first + m * period, first + m * period + span))
+        d_hats = map(str, map(add, base, map(mul, inc, repeat(m))))
+        yield "".join(pick([*ds, *d_hats, *literals]))
 
 
-# rows per write: a constant, so a census streams in memory flat in d_max
-_BATCH = 2048
+def _write(pieces: Iterable[str], fmt: str, handle: TextIO) -> None:
+    """Write the table of the :func:`_periodic` ``pieces`` in ``fmt`` to ``handle``.
 
-
-def _write(texts: Iterable[str], fmt: str, handle: TextIO) -> None:
-    """Write the table of the row ``texts`` in ``fmt`` to ``handle``, ``_BATCH`` rows a write."""
+    Each piece is one write; every piece but the first follows the
+    format's row separator.
+    """
     _, _, opening, sep, closing, empty = _FORMATS[fmt]
-    texts = iter(texts)
-    batch = list(islice(texts, _BATCH))
-    if not batch:
+    pieces = iter(pieces)
+    piece = next(pieces, None)
+    if piece is None:
         handle.write(empty)
         return
-    handle.write(opening + sep.join(batch))
-    while batch := list(islice(texts, _BATCH)):
-        handle.write(sep + sep.join(batch))
+    handle.write(opening + piece)
+    for piece in pieces:
+        handle.write(sep + piece)
     handle.write(closing)
+
+
+def _table(texts: list[str], fmt: str) -> str:
+    """The table in ``fmt`` of the row ``texts``."""
+    _, _, opening, sep, closing, empty = _FORMATS[fmt]
+    return opening + sep.join(texts) + closing if texts else empty
 
 
 def rows_to_csv(rows: Iterable[CensusRow]) -> str:
@@ -215,9 +261,7 @@ def rows_to_csv(rows: Iterable[CensusRow]) -> str:
     Booleans are written as ``true``/``false`` and ``None`` as an empty
     cell; quoting is the ``csv`` module's.
     """
-    buffer = io.StringIO()
-    _write(map(_csv_line, rows), "csv", buffer)
-    return buffer.getvalue()
+    return _table(list(map(_csv_line, rows)), "csv")
 
 
 def rows_to_json(rows: Iterable[CensusRow]) -> str:
@@ -226,9 +270,7 @@ def rows_to_json(rows: Iterable[CensusRow]) -> str:
     The text is that of ``json.dumps(objects, indent=2) + "\\n"`` over the
     whole list of row objects.
     """
-    buffer = io.StringIO()
-    _write(map(_json_object, rows), "json", buffer)
-    return buffer.getvalue()
+    return _table(list(map(_json_object, rows)), "json")
 
 
 # format -> (the text of a row, the separator of its cells,
@@ -245,8 +287,8 @@ def _write_table(n_set: Iterable[int], d_max: int, fmt: str, handle: TextIO) -> 
     The text is that of :func:`rows_to_csv` or :func:`rows_to_json` over
     those rows.  A built row is rendered as there; every later row is its
     template's text with d and d_hat moved along, so no certificate is
-    rebuilt: neither format prints one.  The table is written in batches
-    of a fixed number of rows.
+    rebuilt: neither format prints one.  Each write is the built prefix
+    of one n or one period of later rows.
     """
     _write(_periodic(n_set, d_max, fmt), fmt, handle)
 

@@ -1,9 +1,10 @@
 """Command-line surface: single-triple queries, census tables, verification.
 
-``kummer census`` writes rows in batches of a fixed size, CSV and JSON
-alike, so its memory stays flat in ``--d-max``.  ``--out`` is written to a
-temporary file beside it, which replaces it only when the whole table
-has been written, so a failed run leaves an existing file as it was.
+``kummer census`` writes the built prefix of one n or one period of later
+rows at a time, CSV and JSON alike, so its memory stays flat in
+``--d-max``.  ``--out`` is written to a temporary file beside it, which
+replaces it only when the whole table has been written, so a failed run
+leaves an existing file as it was.
 
 Exit codes
 ----------

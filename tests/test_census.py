@@ -4,10 +4,11 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kummer_moduli import bpf, census, lattice, moduli, oracle
 from kummer_moduli.census import (
@@ -285,6 +286,7 @@ def _assert_table_text_equals_rows(ns, d_max):
 )
 @example([2, 3, 4], 400)  # shifts the d_hat of witness rows of every n
 @example([2, 3, 4], 1000)
+@settings(deadline=None)  # the reference text at 1000 takes about the 200 ms default
 def test_shifted_text_equals_rows(ns, d_max):
     _assert_table_text_equals_rows(ns, d_max)
 
@@ -295,6 +297,14 @@ def test_shifted_text_equals_rows_at_the_first_shift(n):
     start, period = _start_and_period(n)
     for d_max in (start + period - 1, start + period, start + period + 1):
         _assert_table_text_equals_rows([n], d_max)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_period_blocks_cut_at_their_ends(n):
+    # past the prefix: a cut first block, exactly one block, a block and one d, two blocks
+    prefix, period = census._prefix(n), (2 * n + 2) ** 2
+    for past in (period - 1, period, period + 1, 2 * period - 1, 2 * period):
+        _assert_table_text_equals_rows([n], prefix + past)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -333,12 +343,31 @@ def test_the_thresholds_alone_give_the_prefix_with_no_excluded_d(monkeypatch):
 
 
 def test_batched_writers_match_their_oracles():
-    # 2,400 rows: more than one batch
     rows = census_rows([2, 3, 4], 200)
-    assert len(rows) > census._BATCH
     assert rows_to_csv(rows) == _reference_csv(rows)
     expected = [{name: getattr(row, name) for name in CSV_HEADER.split(",")} for row in rows]
     assert rows_to_json(rows) == json.dumps(expected, indent=2) + "\n"
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+@pytest.mark.parametrize("fmt, bound", [("csv", 512 * 1024), ("json", 1024 * 1024)])
+def test_census_memory_stays_flat_in_d_max(fmt, bound):
+    # a write gets the built prefix of one n or one period, so the peak of a census
+    # into a discarding sink is that of the built prefix at any d_max
+    peaks = []
+    for d_max in (5000, 50000):
+        tracemalloc.start()
+        try:
+            census._write_table((2, 3, 4), d_max, fmt, _Discard())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 32 * 1024
+    assert peaks[1] < bound
 
 
 @given(st.lists(census_row_values, max_size=5))
